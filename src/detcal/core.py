@@ -13,6 +13,7 @@ keeps hidden state, so concurrent use with independent generators is safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -321,55 +322,56 @@ class StateSpace:
     log_prior: np.ndarray = field(repr=False)  # (S,)
 
     @classmethod
+    @functools.cache
     def build(cls, prior: PriorConfig, num_categories: int) -> "StateSpace":
+        """The support for (prior, num_categories), built once per process.
+
+        Every caller gets the same object, so its arrays are read-only.
+        """
         lo, hi = prior.count_bounds
         states = enumerate_world_states(num_categories, lo, hi)
         presence = np.zeros((len(states), num_categories), dtype=np.float64)
         for i, w in enumerate(states):
             presence[i, sorted(w)] = 1.0
+        absence = 1.0 - presence
         log_prior = np.array(
             [world_state_log_prior(w, prior, num_categories) for w in states])
+        for arr in (presence, absence, log_prior):
+            arr.flags.writeable = False
         return cls(num_categories=num_categories, states=states,
-                   presence=presence, absence=1.0 - presence, log_prior=log_prior)
+                   presence=presence, absence=absence, log_prior=log_prior)
 
     @property
     def size(self) -> int:
         return len(self.states)
 
 
-def combine_state_terms(pres_term: np.ndarray, abs_term: np.ndarray,
-                        space: StateSpace) -> np.ndarray:
-    """Per-state log likelihood from per-category terms: sum each state's
-    present categories out of pres_term and absent ones out of abs_term.
+def state_log_joint(counts, frame_count, fa, miss, space: StateSpace) -> np.ndarray:
+    """log [ P(observation | w, fa, miss) * P(w) ] over the enumerated support.
 
-    Degenerate systems can put -inf in the per-category terms, which the
-    plain matrix product would turn into NaN (0 * -inf); those entries are
-    handled exactly by masking.
+    ``counts`` (..., C) holds how many of ``frame_count`` (...) frames
+    reported each category. Both broadcast against the rates ``fa`` and
+    ``miss`` (..., C), so a leading particle axis, an observation axis or
+    both give one row of S states per combination.
+
+    Per state, each present category contributes k*log(1-M) + (F-k)*log(M)
+    and each absent one k*log(FA) + (F-k)*log(1-FA); 0*log(0) counts as 0,
+    contradictions give -inf. Degenerate rates can put -inf in the
+    per-category terms, which the plain matrix product would turn into NaN
+    (0 * -inf); those entries are handled exactly by masking.
     """
-    finite = np.isfinite(pres_term).all() and np.isfinite(abs_term).all()
-    if finite:
-        return pres_term @ space.presence.T + abs_term @ space.absence.T
+    k = np.asarray(counts, dtype=np.float64)
+    rest = np.asarray(frame_count, dtype=np.float64)[..., None] - k
+    pres_term = xlogy(k, 1.0 - miss) + xlogy(rest, miss)
+    abs_term = xlogy(k, fa) + xlogy(rest, 1.0 - fa)
+    if np.isfinite(pres_term).all() and np.isfinite(abs_term).all():
+        return pres_term @ space.presence.T + abs_term @ space.absence.T + space.log_prior
     out = (np.where(np.isfinite(pres_term), pres_term, 0.0) @ space.presence.T
            + np.where(np.isfinite(abs_term), abs_term, 0.0) @ space.absence.T)
     hit = (np.isneginf(pres_term).astype(np.float64) @ space.presence.T
            + np.isneginf(abs_term).astype(np.float64) @ space.absence.T)
     out[hit > 0.0] = -np.inf
-    return out
-
-
-def state_log_joint(stats: DetectionStats, system: VisualSystem,
-                    space: StateSpace) -> np.ndarray:
-    """log [ P(observation | w, system) * P(w) ] over the enumerated support.
-
-    Per state, each present category contributes k*log(1-M) + (F-k)*log(M)
-    and each absent one k*log(FA) + (F-k)*log(1-FA); 0*log(0) counts as 0,
-    contradictions give -inf.
-    """
-    k = stats.counts.astype(np.float64)
-    rest = stats.frame_count - k
-    pres_term = xlogy(k, 1.0 - system.miss) + xlogy(rest, system.miss)
-    abs_term = xlogy(k, system.fa) + xlogy(rest, 1.0 - system.fa)
-    return combine_state_terms(pres_term, abs_term, space) + space.log_prior
+    return out + space.log_prior
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import ThresholdPolicy, fit_threshold, fixed_prior_infer, threshold_infer
+from .baselines import (
+    ThresholdPolicy,
+    fit_threshold,
+    fixed_prior_infer,
+    fixed_prior_system,
+    threshold_infer,
+)
 from .core import DetectionStats, PriorConfig
 from .dataset import (
     Run,
@@ -501,18 +507,31 @@ def _position_after(corpus_path, run_id: str | None) -> int:
         f"results end at run_id {run_id!r}, which the corpus does not contain")
 
 
+def _without_jobs(manifest: dict) -> dict:
+    """The manifest minus the worker count, which never changes the bytes."""
+    config = {k: v for k, v in manifest.get("config", {}).items() if k != "jobs"}
+    return {**manifest, "config": config}
+
+
 def run_command(config: ExperimentConfig, corpus_path, out_path):
     """Evaluate every corpus run, streaming results; resumes after a crash.
 
     Returns (runs computed in this invocation, corrupted records skipped).
     Workers own a seed derived from (config seed, corpus position), and the
     single writer appends chunks in corpus order, so output bytes do not
-    depend on the worker count. A rerun keeps fully written runs and
-    continues after the last one; corrupted corpus records are skipped with
-    their position logged.
+    depend on the worker count. A rerun, at any worker count, keeps fully
+    written runs and continues after the last one; corrupted corpus records
+    are skipped with their position logged.
     """
     corpus_path = Path(corpus_path)
     out_path = Path(out_path)
+    if MODEL_FIXED_PRIOR in config.models:
+        try:
+            fixed_prior_system(config.prior(), config.num_categories)
+        except ValueError as exc:
+            raise ConfigError(
+                f"the {MODEL_FIXED_PRIOR} model cannot run under this prior ({exc}); "
+                "drop it from --models") from exc
     if not corpus_path.exists():
         raise InputError(f"corpus file not found: {corpus_path}")
     corpus = read_corpus(corpus_path)
@@ -535,7 +554,7 @@ def run_command(config: ExperimentConfig, corpus_path, out_path):
     start = 0
     previous = read_manifest(out_path)
     if out_path.exists() and previous is not None:
-        if previous != manifest:
+        if _without_jobs(previous) != _without_jobs(manifest):
             raise InputError(
                 f"{out_path} was produced with a different config or corpus; "
                 "remove it or pick another --out to start fresh")

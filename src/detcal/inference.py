@@ -33,7 +33,6 @@ from .core import (
     WorldState,
     beta_log_density,
     beta_sample,
-    combine_state_terms,
     state_log_joint,
     truncated_normal_log_normalizer,
     truncated_normal_sample,
@@ -55,7 +54,6 @@ class ParticleFilterConfig:
     ess_resample_threshold: float = 0.5
     enumeration_limit: int = 15
     seed: int | None = None
-    rejuvenate_only_after_resample: bool = False
 
     def __post_init__(self):
         if self.num_particles < 2:
@@ -147,7 +145,6 @@ class ParticleEnsemble:
         self._counts: list = []   # (C,) int per observation
         self._frames: list = []
         size = self.space.size if self.enumerated else 0
-        self._ll = np.zeros((m, 0, size))      # log joint per state, enum mode
         self._post = np.zeros((m, 0, size))    # conditional state posteriors
         self._world_samples = np.zeros((m, 0, num_categories), dtype=bool)
 
@@ -194,7 +191,6 @@ class ParticleEnsemble:
         self.fa = self.fa[idx].copy()
         self.miss = self.miss[idx].copy()
         if self.enumerated:
-            self._ll = self._ll[idx].copy()
             self._post = self._post[idx].copy()
         else:
             self._world_samples = self._world_samples[idx].copy()
@@ -211,17 +207,8 @@ def init_ensemble(config: ParticleFilterConfig, prior: PriorConfig,
 
 
 # ---------------------------------------------------------------------------
-# Likelihood plumbing shared by both regimes
+# Sampling-regime likelihood
 # ---------------------------------------------------------------------------
-
-def _state_ll_matrix(counts, frames, fa, miss, space: StateSpace) -> np.ndarray:
-    """(M, S) log joint log[P(obs|w, v_m) P(w)] for one observation."""
-    k = counts.astype(np.float64)
-    rest = frames - k
-    pres_term = xlogy(k, 1.0 - miss) + xlogy(rest, miss)   # (M, C)
-    abs_term = xlogy(k, fa) + xlogy(rest, 1.0 - fa)
-    return combine_state_terms(pres_term, abs_term, space) + space.log_prior
-
 
 def _loglik_at_states(counts, frames, fa, miss, presence) -> np.ndarray:
     """(M,) log P(obs | w_m, v_m) with one concrete state per particle."""
@@ -249,13 +236,14 @@ def _sample_prior_worlds(prior: PriorConfig, num_categories: int, m: int,
 # Rejuvenation
 # ---------------------------------------------------------------------------
 
-def _refresh_posteriors(post, q_present, ll, idx, delta, per_obs, mask,
-                        presence) -> None:
+def _refresh_posteriors(post, q_present, space: StateSpace, idx, delta, per_obs,
+                        mask, fa, miss, counts, frames) -> None:
     """Update cached conditionals for particles whose entry just moved.
 
     The accepted move rescales the touched states by exp(delta) and the
     normalizer by exp(per_obs), so the posterior update is multiplicative;
-    rows where that under/overflows fall back to a fresh softmax of ll.
+    rows where that under/overflows are recomputed from the observation
+    history (counts, frames) under the moved rates.
     """
     scale = np.exp(delta[idx])      # (n, T)
     norm = np.exp(per_obs[idx])
@@ -269,26 +257,31 @@ def _refresh_posteriors(post, q_present, ll, idx, delta, per_obs, mask,
         post[rows] = post[rows] * factor / norm[good][:, :, None]
     if not good.all():
         rows = idx[~good]
-        post[rows] = _softmax_rows(ll[rows])
-    q_present[idx] = post[idx] @ presence
+        post[rows] = _softmax_rows(state_log_joint(
+            counts, frames, fa[rows, None, :], miss[rows, None, :], space))
+    q_present[idx] = post[idx] @ space.presence
 
 
-def _rejuvenation_sweep(fa, miss, ll, post, world_samples, counts, frames,
+def _rejuvenation_sweep(fa, miss, post, world_samples, counts, frames,
                         space: StateSpace | None, prior: PriorConfig,
                         sigma: float, rng: np.random.Generator) -> None:
     """One randomized Metropolis-Hastings pass over all 2C rate entries.
 
-    Operates on the arrays in place, vectorized across particles. In the
-    enumeration regime the target likelihood is the full-history marginal
-    (states summed out); cached conditionals let the per-entry likelihood
-    ratio collapse to log(q * exp(delta) + 1 - q) per observation, where q
-    is the posterior mass on the states the entry touches. In the sampling
-    regime the likelihood conditions on each particle's stored states.
+    Operates on the arrays in place, vectorized across particles. Per
+    observation the entry's likelihood ratio is log(q * exp(delta) + 1 - q),
+    where q is the mass on the states the entry touches. In the enumeration
+    regime q comes from the cached conditionals ``post``, so the target is
+    the full-history marginal (states summed out), and accepted moves
+    refresh ``post``. In the sampling regime (``space`` is None) q is each
+    particle's stored 0/1 presence, where the ratio is exactly delta on the
+    touched observations and 0 elsewhere: the likelihood conditions on the
+    stored states.
     """
     m, c = fa.shape
     a, b = prior.beta_alpha, prior.beta_beta
-    enumerated = space is not None
-    if enumerated:
+    if space is None:
+        q_present = world_samples.astype(np.float64)
+    else:
         q_present = post @ space.presence  # (M, T, C)
 
     for entry in rng.permutation(2 * c):
@@ -314,19 +307,13 @@ def _rejuvenation_sweep(fa, miss, ll, post, world_samples, counts, frames,
         else:
             delta = log_rej[:, None] * kc + log_hit[:, None] * rc
 
-        if enumerated:
-            q = q_present[:, :, cat]
-            if is_fa:
-                q = 1.0 - q
-            q = np.clip(q, 0.0, 1.0)
-            with np.errstate(divide="ignore"):
-                per_obs = np.logaddexp(np.log(q) + delta, np.log1p(-q))
-            d_lik = per_obs.sum(axis=1)
-        else:
-            touched = world_samples[:, :, cat]
-            if is_fa:
-                touched = ~touched
-            d_lik = np.where(touched, delta, 0.0).sum(axis=1)
+        q = q_present[:, :, cat]
+        if is_fa:
+            q = 1.0 - q
+        q = np.clip(q, 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            per_obs = np.logaddexp(np.log(q) + delta, np.log1p(-q))
+        d_lik = per_obs.sum(axis=1)
 
         d_prior = beta_log_density(proposal, a, b) - beta_log_density(value, a, b)
         # Hastings correction: only the truncation normalizer depends on the
@@ -342,11 +329,10 @@ def _rejuvenation_sweep(fa, miss, ll, post, world_samples, counts, frames,
             fa[idx, cat] = proposal[idx]
         else:
             miss[idx, cat] = proposal[idx]
-        if enumerated:
+        if space is not None:
             mask = space.absence[:, cat] if is_fa else space.presence[:, cat]
-            ll[idx] += delta[idx][:, :, None] * mask
-            _refresh_posteriors(post, q_present, ll, idx, delta, per_obs, mask,
-                                space.presence)
+            _refresh_posteriors(post, q_present, space, idx, delta, per_obs, mask,
+                                fa, miss, counts, frames)
 
 
 def rejuvenate(particle: Particle, history, config: ParticleFilterConfig,
@@ -367,20 +353,16 @@ def rejuvenate(particle: Particle, history, config: ParticleFilterConfig,
 
     if num_categories <= config.enumeration_limit:
         space = StateSpace.build(prior, num_categories)
-        ll = np.stack([
-            _state_ll_matrix(counts[t], frames[t], fa, miss, space)
-            for t in range(len(history))], axis=1)
-        post = _softmax_rows(ll)
+        post = _softmax_rows(state_log_joint(counts, frames, fa[:, None, :],
+                                             miss[:, None, :], space))
         world_samples = None
     else:
-        space = None
-        ll = post = None
-        presence = np.zeros((1, len(history), num_categories), dtype=bool)
+        space = post = None
+        world_samples = np.zeros((1, len(history), num_categories), dtype=bool)
         for t, belief in enumerate(particle.world_beliefs):
-            presence[0, t, sorted(belief)] = True
-        world_samples = presence
+            world_samples[0, t, sorted(belief)] = True
 
-    _rejuvenation_sweep(fa, miss, ll, post, world_samples, counts, frames,
+    _rejuvenation_sweep(fa, miss, post, world_samples, counts, frames,
                         space, prior, config.proposal_sigma, rng)
 
     v_hat = VisualSystem(fa=fa[0], miss=miss[0])
@@ -418,10 +400,9 @@ def assimilate_observation(ensemble: ParticleEnsemble,
     frames = float(stats.frame_count)
 
     if ensemble.enumerated:
-        ll_new = _state_ll_matrix(counts, frames, ensemble.fa, ensemble.miss,
-                                  ensemble.space)
+        ll_new = state_log_joint(counts, frames, ensemble.fa, ensemble.miss,
+                                 ensemble.space)
         ensemble.log_weights += logsumexp(ll_new, axis=1)
-        ensemble._ll = np.concatenate([ensemble._ll, ll_new[:, None, :]], axis=1)
         ensemble._post = np.concatenate(
             [ensemble._post, _softmax_rows(ll_new)[:, None, :]], axis=1)
     else:
@@ -435,19 +416,15 @@ def assimilate_observation(ensemble: ParticleEnsemble,
     ensemble._counts.append(stats.counts.copy())
     ensemble._frames.append(stats.frame_count)
 
-    resampled = False
     if ensemble.effective_sample_size < cfg.ess_resample_threshold * ensemble.num_particles:
         idx = systematic_resample(ensemble.weights, rng)
         ensemble._reorder(idx)
-        resampled = True
 
-    if not cfg.rejuvenate_only_after_resample or resampled:
-        count_mat, frame_vec = ensemble._count_matrix()
-        for _ in range(cfg.rejuvenation_sweeps_per_observation):
-            _rejuvenation_sweep(ensemble.fa, ensemble.miss, ensemble._ll,
-                                ensemble._post, ensemble._world_samples,
-                                count_mat, frame_vec, ensemble.space,
-                                ensemble.prior, cfg.proposal_sigma, rng)
+    count_mat, frame_vec = ensemble._count_matrix()
+    for _ in range(cfg.rejuvenation_sweeps_per_observation):
+        _rejuvenation_sweep(ensemble.fa, ensemble.miss, ensemble._post,
+                            ensemble._world_samples, count_mat, frame_vec,
+                            ensemble.space, ensemble.prior, cfg.proposal_sigma, rng)
     return ensemble
 
 
@@ -558,7 +535,7 @@ def retrospective_map_with_mass(v_mu: MetaEstimate, observations,
     space = StateSpace.build(prior, num_categories)
     out = []
     for stats in _stats_list(observations, num_categories):
-        lj = state_log_joint(stats, v_mu, space)
+        lj = state_log_joint(stats.counts, stats.frame_count, v_mu.fa, v_mu.miss, space)
         post = _softmax_rows(lj[None, :])[0]
         best = int(np.argmax(post))
         out.append((space.states[best], float(post[best])))

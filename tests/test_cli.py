@@ -86,6 +86,19 @@ class TestRun:
                      "--jobs", "2"]) == EXIT_OK
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_fixed_prior_with_undefined_beta_mode_exit_2(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
+        assert main(["synth", "--beta-alpha", "0.5", "--beta-beta", "0.5",
+                     "--systems", "2", "--world-states", "5",
+                     "--out", str(corpus)]) == EXIT_OK
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(corpus), "--out", str(out)]) == EXIT_CONFIG
+        assert "fixed_prior" in caplog.text
+        assert not out.exists()
+        assert not out.with_name("r.jsonl.manifest.json").exists()
+        assert main(["run", str(corpus), "--out", str(out), "--particles", "15",
+                     "--models", "online,retrospective,threshold"]) == EXIT_OK
+
     def test_adopts_corpus_prior_without_flags(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         assert main(["synth", "--out", str(corpus), "--systems", "1",

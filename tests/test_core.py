@@ -273,11 +273,20 @@ class TestStateSpace:
         space = StateSpace.build(prior, 3)
         v = random_system(rng, 3)
         stats = DetectionStats(counts=np.array([3, 1, 0]), frame_count=4)
-        joint = state_log_joint(stats, v, space)
+        joint = state_log_joint(stats.counts, stats.frame_count, v.fa, v.miss, space)
         for i, w in enumerate(space.states):
             expected = (observation_log_likelihood(stats, w, v)
                         + world_state_log_prior(w, prior, 3))
             assert joint[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_built_once_per_prior_and_category_count(self):
+        space = StateSpace.build(PriorConfig(count_bounds=(1, 3)), 3)
+        assert StateSpace.build(PriorConfig(count_bounds=(1, 3)), 3) is space
+        assert StateSpace.build(PriorConfig(count_bounds=(1, 2)), 3) is not space
+        assert StateSpace.build(PriorConfig(count_bounds=(1, 3)), 4) is not space
+        for arr in (space.presence, space.absence, space.log_prior):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestDeterminism:

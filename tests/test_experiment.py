@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from detcal.cli import EXIT_INPUT, EXIT_OK, main
 from detcal.experiment import (
     ALL_MODELS,
     ConfigError,
@@ -172,6 +173,24 @@ class TestRunCommand:
         other_manifest.write_text(json.dumps(manifest))
         with pytest.raises(InputError):
             run_command(config, corpus, other)
+
+    def test_resume_at_another_jobs_count_is_byte_identical(self, tmp_path):
+        flags = ["--particles", "15", "--seed", "5"]
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["synth", "--out", str(corpus), "--systems", "4",
+                     "--world-states", "6", *flags]) == EXIT_OK
+        reference = tmp_path / "reference.jsonl"
+        assert main(["run", str(corpus), "--out", str(reference), *flags,
+                     "--jobs", "1"]) == EXIT_OK
+        resumed = tmp_path / "resumed.jsonl"
+        resumed.write_bytes(b"".join(reference.read_bytes().splitlines(True)[:2]))
+        resumed.with_name(resumed.name + ".manifest.json").write_bytes(
+            reference.with_name(reference.name + ".manifest.json").read_bytes())
+        assert main(["run", str(corpus), "--out", str(resumed), *flags,
+                     "--jobs", "2"]) == EXIT_OK
+        assert resumed.read_bytes() == reference.read_bytes()
+        assert main(["run", str(corpus), "--out", str(resumed), "--particles", "15",
+                     "--seed", "6", "--jobs", "2"]) == EXIT_INPUT
 
     def test_jobs_do_not_change_bytes(self, small_results, tmp_path):
         config, corpus, results = small_results

@@ -8,6 +8,7 @@ from detcal.core import (
     Observation,
     PriorConfig,
     VisualSystem,
+    render_percept,
 )
 from detcal.inference import (
     ParticleFilterConfig,
@@ -128,6 +129,46 @@ class TestAssimilation:
                         prior.poisson_lambda, lo, hi, c)
                     np.testing.assert_allclose(part.world_beliefs[t], probs,
                                                rtol=1e-9, atol=1e-9)
+
+    def test_beliefs_exact_when_the_multiplicative_refresh_overflows(self, monkeypatch):
+        # ~3000 frames per observation make exp(delta) overflow for many
+        # accepted moves; those rows are recomputed from the history
+        import detcal.inference as inference
+
+        fallback_rows = []
+        real = inference.state_log_joint
+
+        def spy(counts, frame_count, fa, miss, space):
+            if np.ndim(fa) == 3:  # only the overflow fallback passes (n, 1, C) rates
+                fallback_rows.append(fa.shape[0])
+            return real(counts, frame_count, fa, miss, space)
+
+        monkeypatch.setattr(inference, "state_log_joint", spy)
+        c = 3
+        prior = PriorConfig(count_bounds=(1, c))
+        truth = VisualSystem(fa=np.array([0.05, 0.3, 0.1]),
+                             miss=np.array([0.1, 0.05, 0.4]))
+        r = np.random.default_rng(17)
+        observations = [
+            Observation(tuple(render_percept(w, truth, r)
+                              for _ in range(int(r.integers(2900, 3100)))))
+            for w in (frozenset({0}), frozenset({1, 2}), frozenset({0, 2}))]
+        ens = init_ensemble(small_config(num_particles=6, seed=4,
+                                         rejuvenation_sweeps_per_observation=1),
+                            prior, c)
+        with np.errstate(over="ignore"):
+            for obs in observations:
+                assimilate_observation(ens, obs)
+        assert sum(fallback_rows) > 0
+        lo, hi = prior.count_bounds
+        for m in range(ens.num_particles):
+            part = ens.particle(m)
+            for t, obs in enumerate(observations):
+                _, probs = state_posterior_oracle(
+                    list(obs.percepts), part.v_hat.fa, part.v_hat.miss,
+                    prior.poisson_lambda, lo, hi, c)
+                np.testing.assert_allclose(part.world_beliefs[t], probs,
+                                           rtol=1e-10, atol=1e-10)
 
     def test_noiseless_particles_identify_the_state(self):
         cfg = small_config(num_particles=2)
