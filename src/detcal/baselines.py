@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     DetectionStats,
-    Observation,
     PriorConfig,
     VisualSystem,
     WorldState,
@@ -25,20 +24,17 @@ from .inference import retrospective_infer
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Presence rule: detection fraction >= theta (or > theta when strict)."""
+    """Presence rule: detection fraction >= theta."""
 
     theta: float = 0.50
-    strict: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError("theta must lie in [0, 1]")
 
-
-def _stats(observation, num_categories) -> DetectionStats:
-    if isinstance(observation, DetectionStats):
-        return observation
-    return DetectionStats.from_observation(observation, num_categories)
+    def keeps(self, fractions) -> np.ndarray:
+        """Which detection fractions clear theta."""
+        return fractions >= self.theta - 1e-12  # guard k/F == theta roundoff
 
 
 def threshold_infer(observation, policy: ThresholdPolicy = ThresholdPolicy(),
@@ -48,12 +44,8 @@ def threshold_infer(observation, policy: ThresholdPolicy = ThresholdPolicy(),
     No prior is applied: the result may be empty or arbitrarily large.
     ``num_categories`` is only needed when passing a raw Observation.
     """
-    stats = _stats(observation, num_categories)
-    fraction = stats.counts / stats.frame_count
-    if policy.strict:
-        keep = fraction > policy.theta
-    else:
-        keep = fraction >= policy.theta - 1e-12  # guard k/F == theta roundoff
+    stats = DetectionStats.from_observation(observation, num_categories)
+    keep = policy.keeps(stats.counts / stats.frame_count)
     return frozenset(np.nonzero(keep)[0].tolist())
 
 
@@ -61,54 +53,46 @@ def default_threshold_grid() -> np.ndarray:
     return np.round(np.arange(0, 101) * 0.01, 2)
 
 
-def fit_threshold(stats_list, true_states, grid=None, strict: bool = False):
+def fit_threshold(stats_list, world_states):
     """Supervised grid search for the accuracy-maximizing threshold.
 
     Unlike everything else here this explicitly needs ground truth. Returns
     (best theta, its mean exact-match accuracy); ties go to the smallest
-    theta on the grid.
+    theta on ``default_threshold_grid()``.
     """
     stats_list = list(stats_list)
-    true_states = list(true_states)
+    world_states = list(world_states)
     if not stats_list:
         raise ValueError("cannot fit a threshold on an empty corpus")
-    if len(stats_list) != len(true_states):
+    if len(stats_list) != len(world_states):
         raise ValueError("observations and ground truth differ in length")
-    if grid is None:
-        grid = default_threshold_grid()
 
-    num_categories = stats_list[0].num_categories
     fractions = np.array([s.counts / s.frame_count for s in stats_list])  # (N, C)
     present = np.zeros_like(fractions, dtype=bool)
-    for i, w in enumerate(true_states):
+    for i, w in enumerate(world_states):
         present[i, sorted(w)] = True
 
     best_theta, best_acc = None, -1.0
-    for theta in grid:
-        if strict:
-            guess = fractions > theta
-        else:
-            guess = fractions >= theta - 1e-12
+    for theta in default_threshold_grid():
+        guess = ThresholdPolicy(theta=theta).keeps(fractions)
         acc = float(np.all(guess == present, axis=1).mean())
         if acc > best_acc + 1e-15:
             best_theta, best_acc = float(theta), acc
     return best_theta, best_acc
 
 
-def fixed_prior_system(prior: PriorConfig, num_categories: int,
-                       use_prior_mean: bool = False) -> VisualSystem:
-    """Error model pinned at the Beta prior's MAP (or its mean, on request)."""
-    value = prior.rate_mean if use_prior_mean else prior.rate_map
+def fixed_prior_system(prior: PriorConfig, num_categories: int) -> VisualSystem:
+    """Error model pinned at the Beta prior's MAP."""
+    value = prior.rate_map
     return VisualSystem(fa=np.full(num_categories, value),
                         miss=np.full(num_categories, value))
 
 
-def fixed_prior_infer(observations, prior: PriorConfig, num_categories: int,
-                      use_prior_mean: bool = False) -> list:
+def fixed_prior_infer(observations, prior: PriorConfig, num_categories: int) -> list:
     """Exact MAP state inference under the prior-pinned error model.
 
     This is the learning ablation: same machinery as the retrospective
     pass, but the rates never move off the prior's point estimate.
     """
-    system = fixed_prior_system(prior, num_categories, use_prior_mean=use_prior_mean)
+    system = fixed_prior_system(prior, num_categories)
     return retrospective_infer(system, observations, prior, num_categories)

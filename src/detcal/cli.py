@@ -12,12 +12,14 @@ import logging
 import sys
 from pathlib import Path
 
-from .dataset import CorpusFormatError, PerceptFormatError, read_corpus
+from .dataset import CorpusFormatError, PerceptFormatError
 from .experiment import (
     ALL_MODELS,
     ConfigError,
     ExperimentConfig,
     InputError,
+    category_settings,
+    corpus_settings,
     ingest_command,
     report_command,
     run_command,
@@ -102,29 +104,6 @@ def _build_config(args, header_defaults: dict | None = None) -> ExperimentConfig
     return ExperimentConfig(**merged)
 
 
-def _corpus_header_defaults(corpus_path: str) -> dict:
-    path = Path(corpus_path)
-    if not path.exists():
-        raise InputError(f"corpus file not found: {corpus_path}")
-    corpus = read_corpus(path)
-    prior = corpus.prior
-    out = {
-        "num_categories": corpus.num_categories,
-        "beta_alpha": prior.beta_alpha,
-        "beta_beta": prior.beta_beta,
-        "poisson_lambda": prior.poisson_lambda,
-        "count_min": prior.count_bounds[0],
-        "count_max": prior.count_bounds[1],
-        "frames_min": prior.frames_bounds[0],
-        "frames_max": prior.frames_bounds[1],
-    }
-    if corpus.num_systems:
-        out["num_systems"] = corpus.num_systems
-    if corpus.world_states_per_system:
-        out["world_states_per_system"] = corpus.world_states_per_system
-    return out
-
-
 def _add_settings(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("experiment settings")
     g.add_argument("--config", metavar="FILE",
@@ -198,8 +177,7 @@ def _dispatch(args) -> int:
         synth_command(config, args.out)
         logger.info("corpus written to %s", args.out)
     elif args.command == "run":
-        header = _corpus_header_defaults(args.corpus)
-        config = _build_config(args, header_defaults=header)
+        config = _build_config(args, header_defaults=corpus_settings(args.corpus))
         computed, skipped = run_command(config, args.corpus, args.out)
         logger.info("results written to %s (%d runs computed)", args.out, computed)
         if skipped:
@@ -223,9 +201,7 @@ def _dispatch(args) -> int:
             raise ConfigError("the vocabulary is empty")
         if len(set(vocabulary)) != len(vocabulary):
             raise ConfigError("the vocabulary contains duplicate names")
-        n = len(vocabulary)
-        config = _build_config(args, header_defaults={
-            "num_categories": n, "count_max": min(5, n)})
+        config = _build_config(args, header_defaults=category_settings(len(vocabulary)))
         ingest_command(config, args.percepts, vocabulary, args.out)
         logger.info("inferences written to %s", args.out)
     return EXIT_OK

@@ -69,7 +69,10 @@ class DetectionStats:
             raise ValueError("counts must lie in [0, frame_count]")
 
     @classmethod
-    def from_observation(cls, observation: Observation, num_categories: int) -> "DetectionStats":
+    def from_observation(cls, observation, num_categories: int) -> "DetectionStats":
+        """Counts of an Observation; stats given as DetectionStats come back unchanged."""
+        if isinstance(observation, cls):
+            return observation
         counts = np.zeros(num_categories, dtype=np.int64)
         for percept in observation.percepts:
             for c in percept:
@@ -113,9 +116,6 @@ class VisualSystem:
         c = flat.size // 2
         return cls(fa=flat[:c].copy(), miss=flat[c:].copy())
 
-    def copy(self) -> "VisualSystem":
-        return VisualSystem(fa=self.fa.copy(), miss=self.miss.copy())
-
 
 # The inferred counterpart of a VisualSystem has the same shape and bounds.
 MetaEstimate = VisualSystem
@@ -148,10 +148,6 @@ class PriorConfig:
         flo, fhi = self.frames_bounds
         if not (1 <= flo <= fhi):
             raise ValueError(f"frames_bounds {self.frames_bounds} must satisfy 1 <= lo <= hi")
-
-    @property
-    def rate_mean(self) -> float:
-        return self.beta_alpha / (self.beta_alpha + self.beta_beta)
 
     @property
     def rate_variance(self) -> float:
@@ -398,19 +394,32 @@ def render_percept(world: WorldState, system: VisualSystem,
     return _as_world_state(np.nonzero(detected)[0])
 
 
+def state_log_likelihood(counts, frame_count, fa, miss, presence) -> np.ndarray:
+    """log P(observation | w, fa, miss) at concrete states w.
+
+    ``presence`` (..., C) holds each state as a 0/1 mask. It broadcasts
+    against the rates ``fa`` and ``miss`` (..., C), the counts (..., C)
+    and ``frame_count`` (...), as in ``state_log_joint``, and the result
+    drops the category axis. Present categories are detected with
+    probability 1 - miss, absent ones with fa; 0*log(0) counts as 0, and
+    impossible count patterns under degenerate rates give -inf.
+    """
+    k = np.asarray(counts, dtype=np.float64)
+    rest = np.asarray(frame_count, dtype=np.float64)[..., None] - k
+    p_detect = np.where(presence, 1.0 - miss, fa)
+    return (xlogy(k, p_detect) + xlogy(rest, 1.0 - p_detect)).sum(axis=-1)
+
+
 def observation_log_likelihood(stats: DetectionStats, world: WorldState,
                                system: VisualSystem) -> float:
     """log P(observation | world, system) from the sufficient statistics.
 
     Equals the log of the product over all F percepts of the per-percept
-    probability; impossible count patterns under a degenerate system give
-    -inf rather than raising.
+    probability (see ``state_log_likelihood``).
     """
     if stats.num_categories != system.num_categories:
         raise ValueError("stats and system disagree on the number of categories")
-    k = stats.counts.astype(np.float64)
-    rest = stats.frame_count - k
     present = np.zeros(system.num_categories, dtype=bool)
     present[sorted(world)] = True
-    p_detect = np.where(present, 1.0 - system.miss, system.fa)
-    return float(np.sum(xlogy(k, p_detect) + xlogy(rest, 1.0 - p_detect)))
+    return float(state_log_likelihood(stats.counts, stats.frame_count,
+                                      system.fa, system.miss, present))

@@ -139,6 +139,20 @@ def _dump(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def parse_record(line, kind: str) -> dict:
+    """The JSON object on ``line``, checked to be a ``kind`` record.
+
+    Raises ValueError (json.JSONDecodeError included) for anything else,
+    such as invalid JSON, an array, or another record type.
+    """
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a {kind!r} record, got a JSON {type(rec).__name__}")
+    if rec.get("record") != kind:
+        raise ValueError(f"expected a {kind!r} record, got {rec.get('record')!r}")
+    return rec
+
+
 def corpus_header(prior: PriorConfig, num_categories: int, num_systems: int,
                   world_states_per_system: int, root_seed: int) -> dict:
     return {
@@ -178,11 +192,9 @@ def write_corpus(path, prior: PriorConfig, num_categories: int, num_systems: int
 
 def _parse_header(line: str) -> Corpus:
     try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"line 1: not valid JSON ({exc})") from exc
-    if rec.get("record") != "corpus":
-        raise CorpusFormatError("line 1: expected a corpus header record")
+        rec = parse_record(line, "corpus")
+    except ValueError as exc:
+        raise CorpusFormatError(f"line 1: bad corpus header ({exc})") from exc
     if rec.get("schema_version") != SCHEMA_VERSION:
         raise CorpusFormatError(
             f"unsupported schema_version {rec.get('schema_version')}")
@@ -211,10 +223,7 @@ def read_corpus(path) -> Corpus:
                 if not line.strip():
                     continue
                 try:
-                    rec = json.loads(line)
-                    if rec.get("record") != "run":
-                        raise ValueError(f"unexpected record type {rec.get('record')!r}")
-                    yield Run.from_record(rec)
+                    yield Run.from_record(parse_record(line, "run"))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise CorpusFormatError(f"line {lineno}: bad run record ({exc})") from exc
 

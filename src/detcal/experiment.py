@@ -14,7 +14,8 @@ import hashlib
 import json
 import logging
 import multiprocessing
-from dataclasses import dataclass, field, asdict, replace
+import os
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .dataset import (
     SCHEMA_VERSION,
     corpus_header,
     inference_seed,
+    parse_record,
     read_corpus,
 )
 from .inference import ParticleFilterConfig, retrospective_infer, run_filter
@@ -75,23 +77,27 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every knob of a full experiment; validated before any work starts."""
+    """Every knob of a full experiment; validated before any work starts.
+
+    The prior and filter settings default to PriorConfig's and
+    ParticleFilterConfig's defaults.
+    """
 
     num_categories: int = 5
-    beta_alpha: float = 2.0
-    beta_beta: float = 10.0
-    poisson_lambda: float = 1.0
-    count_min: int = 1
-    count_max: int = 5
-    frames_min: int = 5
-    frames_max: int = 15
+    beta_alpha: float = PriorConfig.beta_alpha
+    beta_beta: float = PriorConfig.beta_beta
+    poisson_lambda: float = PriorConfig.poisson_lambda
+    count_min: int = PriorConfig.count_bounds[0]
+    count_max: int = PriorConfig.count_bounds[1]
+    frames_min: int = PriorConfig.frames_bounds[0]
+    frames_max: int = PriorConfig.frames_bounds[1]
     num_systems: int = 1000
     world_states_per_system: int = 75
-    num_particles: int = 100
-    proposal_sigma: float = 0.1
-    rejuvenation_sweeps: int = 1
-    ess_resample_threshold: float = 0.5
-    enumeration_limit: int = 15
+    num_particles: int = ParticleFilterConfig.num_particles
+    proposal_sigma: float = ParticleFilterConfig.proposal_sigma
+    rejuvenation_sweeps: int = ParticleFilterConfig.rejuvenation_sweeps_per_observation
+    ess_resample_threshold: float = ParticleFilterConfig.ess_resample_threshold
+    enumeration_limit: int = ParticleFilterConfig.enumeration_limit
     seed: int = 0
     models: tuple = ALL_MODELS
     format: str = "jsonl"
@@ -130,6 +136,15 @@ class ExperimentConfig:
             count_bounds=(self.count_min, self.count_max),
             frames_bounds=(self.frames_min, self.frames_max))
 
+    @staticmethod
+    def prior_settings(prior: PriorConfig) -> dict:
+        """The settings that ``prior()`` turns back into ``prior``."""
+        return dict(
+            beta_alpha=prior.beta_alpha, beta_beta=prior.beta_beta,
+            poisson_lambda=prior.poisson_lambda,
+            count_min=prior.count_bounds[0], count_max=prior.count_bounds[1],
+            frames_min=prior.frames_bounds[0], frames_max=prior.frames_bounds[1])
+
     def filter_config(self) -> ParticleFilterConfig:
         return ParticleFilterConfig(
             num_particles=self.num_particles,
@@ -143,6 +158,39 @@ class ExperimentConfig:
         out = asdict(self)
         out["models"] = list(self.models)
         return out
+
+    @classmethod
+    def from_echo(cls, echo: dict) -> "ExperimentConfig":
+        """The config an ``echo()`` was taken from.
+
+        Absent keys take their defaults and unknown keys are ignored.
+        """
+        names = {f.name for f in fields(cls)}
+        values = {k: v for k, v in echo.items() if k in names}
+        values["models"] = tuple(values.get("models", ALL_MODELS))
+        return cls(**values)
+
+
+def category_settings(num_categories: int,
+                      count_max: int = ExperimentConfig.count_max) -> dict:
+    """Settings for ``num_categories`` categories, ``count_max`` clamped to fit."""
+    return {"num_categories": num_categories,
+            "count_max": min(count_max, num_categories)}
+
+
+def corpus_settings(corpus_path) -> dict:
+    """The settings a corpus header records, as defaults for runs over it."""
+    path = Path(corpus_path)
+    if not path.exists():
+        raise InputError(f"corpus file not found: {corpus_path}")
+    corpus = read_corpus(path)
+    out = {"num_categories": corpus.num_categories,
+           **ExperimentConfig.prior_settings(corpus.prior)}
+    if corpus.num_systems:
+        out["num_systems"] = corpus.num_systems
+    if corpus.world_states_per_system:
+        out["world_states_per_system"] = corpus.world_states_per_system
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +288,7 @@ def evaluate_run(run: Run, config: ExperimentConfig, run_index: int) -> RunResul
     if MODEL_ONLINE in config.models:
         rng = np.random.default_rng(inference_seed(config.seed, run_index))
         trace = run_filter(stats, config.filter_config(), prior, c,
-                           v_true=run.v_true, true_states=run.world_states, rng=rng)
+                           v_true=run.v_true, rng=rng)
         result.maps[MODEL_ONLINE] = list(trace.map_states)
         v_hat = trace.final_estimate
         result.v_hat = v_hat.as_flat().tolist()
@@ -345,10 +393,7 @@ def read_results(path):
                 if not line.strip():
                     continue
                 try:
-                    rec = json.loads(line)
-                    if rec.get("record") != "result":
-                        raise ValueError(f"unexpected record {rec.get('record')!r}")
-                    yield RunResult.from_record(rec)
+                    yield RunResult.from_record(parse_record(line, "result"))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise InputError(f"{path} line {lineno}: bad result record ({exc})") from exc
             return
@@ -382,17 +427,29 @@ def _manifest_path(path) -> Path:
 
 
 def write_manifest(path, payload: dict) -> None:
-    with open(_manifest_path(path), "w", encoding="utf-8", newline="\n") as fh:
+    """Replace the manifest whole: write a temp file beside it, then rename."""
+    mpath = _manifest_path(path)
+    tmp = mpath.with_name(mpath.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, mpath)
 
 
 def read_manifest(path) -> dict | None:
+    """The manifest of ``path``, None if there is none; InputError if unreadable."""
     mpath = _manifest_path(path)
     if not mpath.exists():
         return None
-    with open(mpath, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise InputError(f"{mpath}: unreadable manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise InputError(f"{mpath}: a manifest must be a JSON object")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +495,7 @@ def _worker_evaluate(task):
     """(chunk, None) on success; (None, reason) for a corrupted record."""
     index, line = task
     try:
-        rec = json.loads(line)
-        if rec.get("record") != "run":
-            raise ValueError(f"unexpected record type {rec.get('record')!r}")
-        run = Run.from_record(rec)
+        run = Run.from_record(parse_record(line, "run"))
     except (ValueError, KeyError, TypeError) as exc:
         return None, f"corpus record at position {index}: {exc}"
     result = evaluate_run(run, _worker_config, index)
@@ -473,10 +527,8 @@ def _complete_prefix(path: Path, fmt: str, rows_per_run: int):
                 continue
             if fmt == "jsonl":
                 try:
-                    rec = json.loads(raw)
-                except json.JSONDecodeError:
-                    break
-                if rec.get("record") != "result":
+                    rec = parse_record(raw, "result")
+                except ValueError:
                     break
                 offset += len(raw)
                 runs += 1
@@ -499,9 +551,9 @@ def _position_after(corpus_path, run_id: str | None) -> int:
         return 0
     for index, line in enumerate(_iter_corpus_lines(corpus_path)):
         try:
-            if json.loads(line).get("run_id") == run_id:
+            if parse_record(line, "run").get("run_id") == run_id:
                 return index + 1
-        except json.JSONDecodeError:
+        except ValueError:
             continue
     raise InputError(
         f"results end at run_id {run_id!r}, which the corpus does not contain")
@@ -618,9 +670,7 @@ def ingest_command(config: ExperimentConfig, percepts_path, vocabulary,
         raise InputError(f"percept file not found: {percepts_path}")
     groups = ingest_percept_groups(percepts_path, vocabulary)
     c = len(vocabulary)
-    if c != config.num_categories:
-        config = replace(config, num_categories=c,
-                         count_max=min(config.count_max, c))
+    config = replace(config, **category_settings(c, config.count_max))
     prior = config.prior()
     stats = [DetectionStats.from_observation(obs, c) for _, obs in groups]
     rng = np.random.default_rng(inference_seed(config.seed, 0))
@@ -679,8 +729,7 @@ def _write_table(path, header, rows) -> None:
 
 
 def report_command(results_paths, out_dir, models=None,
-                   error_map_run: str | None = None,
-                   prior: PriorConfig | None = None) -> dict:
+                   error_map_run: str | None = None) -> dict:
     """Aggregate results into the four report tables plus a summary.
 
     Tables: estimate MSE by observation index (row 0 is the prior
@@ -688,11 +737,13 @@ def report_command(results_paths, out_dir, models=None,
     observation noise per model, and the retrospective-minus-threshold
     accuracy gap by noise. The summary adds overall accuracies, the fitted
     threshold (same-corpus and a half-split holdout) and the analytic
-    chance accuracy. Returns {table name: path}.
+    chance accuracy, under the prior of the first results file that has a
+    manifest (the default prior when none has). Returns {table name: path}.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
+    prior = None
     for path in results_paths:
         path = Path(path)
         if not path.exists():
@@ -700,13 +751,10 @@ def report_command(results_paths, out_dir, models=None,
         if prior is None:
             manifest = read_manifest(path)
             if manifest is not None:
-                cfg = manifest.get("config", {})
-                prior = PriorConfig(
-                    beta_alpha=cfg.get("beta_alpha", 2.0),
-                    beta_beta=cfg.get("beta_beta", 10.0),
-                    poisson_lambda=cfg.get("poisson_lambda", 1.0),
-                    count_bounds=(cfg.get("count_min", 1), cfg.get("count_max", 5)),
-                    frames_bounds=(cfg.get("frames_min", 5), cfg.get("frames_max", 15)))
+                try:
+                    prior = ExperimentConfig.from_echo(manifest.get("config", {})).prior()
+                except (ConfigError, TypeError) as exc:
+                    raise InputError(f"{path}: manifest config is invalid ({exc})") from exc
         results.extend(read_results(path))
     if not results:
         raise InputError("no run results found in the given files")

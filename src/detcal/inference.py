@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import logsumexp
 
 from .core import (
     DetectionStats,
@@ -34,6 +34,7 @@ from .core import (
     beta_log_density,
     beta_sample,
     state_log_joint,
+    state_log_likelihood,
     truncated_normal_log_normalizer,
     truncated_normal_sample,
     truncated_poisson_sample,
@@ -85,7 +86,6 @@ class PosteriorTrace:
     estimates: list = field(default_factory=list)
     map_states: list = field(default_factory=list)
     mse: list | None = None        # (combined, fa_only, miss_only) per step
-    accuracy: list | None = None   # exact-match bit per step
     initial_estimate: MetaEstimate | None = None
     initial_mse: tuple | None = None
 
@@ -168,10 +168,6 @@ class ParticleEnsemble:
         w = self.weights
         return float(1.0 / np.sum(w * w))
 
-    def history(self) -> list:
-        return [DetectionStats(counts=k.copy(), frame_count=f)
-                for k, f in zip(self._counts, self._frames)]
-
     def particle(self, m: int) -> Particle:
         """Materialize particle m (copies; edits do not write back)."""
         v_hat = VisualSystem(fa=self.fa[m].copy(), miss=self.miss[m].copy())
@@ -207,16 +203,8 @@ def init_ensemble(config: ParticleFilterConfig, prior: PriorConfig,
 
 
 # ---------------------------------------------------------------------------
-# Sampling-regime likelihood
+# Sampling regime
 # ---------------------------------------------------------------------------
-
-def _loglik_at_states(counts, frames, fa, miss, presence) -> np.ndarray:
-    """(M,) log P(obs | w_m, v_m) with one concrete state per particle."""
-    k = counts.astype(np.float64)
-    rest = frames - k
-    p_detect = np.where(presence, 1.0 - miss, fa)
-    return (xlogy(k, p_detect) + xlogy(rest, 1.0 - p_detect)).sum(axis=1)
-
 
 def _sample_prior_worlds(prior: PriorConfig, num_categories: int, m: int,
                          rng: np.random.Generator) -> np.ndarray:
@@ -387,10 +375,7 @@ def assimilate_observation(ensemble: ParticleEnsemble,
     conditional state distribution is stored; in the sampling regime a
     state is drawn from the prior and the weight uses the likelihood at it.
     """
-    if isinstance(observation, DetectionStats):
-        stats = observation
-    else:
-        stats = DetectionStats.from_observation(observation, ensemble.num_categories)
+    stats = DetectionStats.from_observation(observation, ensemble.num_categories)
     if stats.num_categories != ensemble.num_categories:
         raise ValueError("observation does not match the ensemble's category count")
 
@@ -408,8 +393,8 @@ def assimilate_observation(ensemble: ParticleEnsemble,
     else:
         presence = _sample_prior_worlds(ensemble.prior, ensemble.num_categories,
                                         ensemble.num_particles, rng)
-        ensemble.log_weights += _loglik_at_states(counts, frames, ensemble.fa,
-                                                  ensemble.miss, presence)
+        ensemble.log_weights += state_log_likelihood(counts, frames, ensemble.fa,
+                                                     ensemble.miss, presence)
         ensemble._world_samples = np.concatenate(
             [ensemble._world_samples, presence[:, None, :]], axis=1)
 
@@ -477,15 +462,13 @@ def online_map_world_state(ensemble: ParticleEnsemble, t: int) -> WorldState:
 
 def run_filter(observations, config: ParticleFilterConfig, prior: PriorConfig,
                num_categories: int, *, v_true: VisualSystem | None = None,
-               true_states=None,
                rng: np.random.Generator | None = None) -> PosteriorTrace:
     """Drive the filter over a full observation sequence and collect readouts.
 
-    When the generating truth is supplied the trace also carries the
-    per-step estimate error and the exact-match accuracy bit of each online
-    state estimate.
+    When the generating rates are supplied the trace also carries the
+    per-step estimate error.
     """
-    from .metrics import meta_mse, world_state_accuracy
+    from .metrics import meta_mse
 
     ensemble = init_ensemble(config, prior, num_categories, rng=rng)
     trace = PosteriorTrace()
@@ -493,35 +476,20 @@ def run_filter(observations, config: ParticleFilterConfig, prior: PriorConfig,
     if v_true is not None:
         trace.initial_mse = meta_mse(v_true, trace.initial_estimate)
         trace.mse = []
-    if true_states is not None:
-        trace.accuracy = []
 
     for t, obs in enumerate(observations):
         assimilate_observation(ensemble, obs)
         estimate = estimate_v(ensemble)
         trace.estimates.append(estimate)
-        state = online_map_world_state(ensemble, t)
-        trace.map_states.append(state)
+        trace.map_states.append(online_map_world_state(ensemble, t))
         if v_true is not None:
             trace.mse.append(meta_mse(v_true, estimate))
-        if true_states is not None:
-            trace.accuracy.append(world_state_accuracy(true_states[t], state))
     return trace
 
 
 # ---------------------------------------------------------------------------
 # Retrospective re-inference
 # ---------------------------------------------------------------------------
-
-def _stats_list(observations, num_categories: int) -> list:
-    out = []
-    for obs in observations:
-        if isinstance(obs, DetectionStats):
-            out.append(obs)
-        else:
-            out.append(DetectionStats.from_observation(obs, num_categories))
-    return out
-
 
 def retrospective_map_with_mass(v_mu: MetaEstimate, observations,
                                 prior: PriorConfig, num_categories: int):
@@ -534,7 +502,8 @@ def retrospective_map_with_mass(v_mu: MetaEstimate, observations,
     """
     space = StateSpace.build(prior, num_categories)
     out = []
-    for stats in _stats_list(observations, num_categories):
+    for obs in observations:
+        stats = DetectionStats.from_observation(obs, num_categories)
         lj = state_log_joint(stats.counts, stats.frame_count, v_mu.fa, v_mu.miss, space)
         post = _softmax_rows(lj[None, :])[0]
         best = int(np.argmax(post))

@@ -14,7 +14,6 @@ import numpy as np
 from .core import (
     DetectionStats,
     MetaEstimate,
-    Observation,
     VisualSystem,
     WorldState,
     _truncated_poisson_weights,
@@ -45,10 +44,7 @@ def observation_noise(w_true: WorldState, observation, num_categories: int) -> f
     Accepts an Observation or its DetectionStats; a present category
     contributes its misses (F - k), an absent one its intrusions (k).
     """
-    if isinstance(observation, Observation):
-        stats = DetectionStats.from_observation(observation, num_categories)
-    else:
-        stats = observation
+    stats = DetectionStats.from_observation(observation, num_categories)
     present = np.zeros(num_categories, dtype=bool)
     present[sorted(w_true)] = True
     disagreements = np.where(present, stats.frame_count - stats.counts, stats.counts)
@@ -80,31 +76,32 @@ class NoiseWindowPoint:
     count: int
 
 
+NOISE_WINDOW_HALFWIDTH = 0.05
+
+
 def default_noise_grid() -> np.ndarray:
     return np.round(np.arange(0, 101) * 0.01, 2)
 
 
-def rolling_accuracy_by_noise(evaluations, window_halfwidth: float = 0.05,
-                              grid=None) -> list:
+def rolling_accuracy_by_noise(evaluations) -> list:
     """Accuracy as a function of observation noise, in closed rolling windows.
 
     For each grid point z, averages each model's accuracy bits over the
-    observations whose noise lies in [z - h, z + h]. Grid points with an
-    empty window are omitted; counts are reported so sparse windows are
-    visible downstream.
+    observations whose noise lies in [z - h, z + h], with h the
+    NOISE_WINDOW_HALFWIDTH. Grid points with an empty window are omitted;
+    counts are reported so sparse windows are visible downstream.
     """
     evaluations = list(evaluations)
     if not evaluations:
         raise ValueError("no evaluations given")
-    if grid is None:
-        grid = default_noise_grid()
     models = list(evaluations[0].accuracy.keys())
     zeta = np.concatenate([np.asarray(e.zeta, dtype=np.float64) for e in evaluations])
     bits = {m: np.concatenate([np.asarray(e.accuracy[m], dtype=np.float64)
                                for e in evaluations]) for m in models}
     points = []
-    for z in grid:
-        sel = (zeta >= z - window_halfwidth) & (zeta <= z + window_halfwidth)
+    h = NOISE_WINDOW_HALFWIDTH
+    for z in default_noise_grid():
+        sel = (zeta >= z - h) & (zeta <= z + h)
         n = int(sel.sum())
         if n == 0:
             continue

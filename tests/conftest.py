@@ -24,6 +24,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {number:2d} [{status}] {name}: {detail}")
 
 
+def pytest_collection_modifyitems(config, items):
+    # The session desk corpus takes minutes to build and run; `-m "not slow"`
+    # leaves out every test that needs it.
+    for item in items:
+        if "desk_corpus" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

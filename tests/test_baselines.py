@@ -43,12 +43,6 @@ class TestThresholdInfer:
         assert threshold_infer(stats_of(o, 2), ThresholdPolicy(theta=1.0)) == \
             frozenset({0})
 
-    def test_strict_comparison_drops_exact_ties(self):
-        o = obs({0}, {0}, set(), set())  # 2 of 4 frames
-        assert threshold_infer(stats_of(o, 1)) == frozenset({0})
-        assert threshold_infer(stats_of(o, 1),
-                               ThresholdPolicy(theta=0.5, strict=True)) == frozenset()
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_raising_theta_never_adds_a_category(self, seed, t1, t2):
@@ -110,10 +104,6 @@ class TestFixedPrior:
     def test_rates_sit_at_the_prior_map(self):
         v = fixed_prior_system(PriorConfig(), 5)
         assert np.allclose(v.fa, 0.1) and np.allclose(v.miss, 0.1)
-
-    def test_prior_mean_variant(self):
-        v = fixed_prior_system(PriorConfig(), 5, use_prior_mean=True)
-        assert np.allclose(v.as_flat(), 1.0 / 6.0)
 
     def test_noiseless_observations_recovered(self):
         worlds = [frozenset({0, 3}), frozenset({2})]

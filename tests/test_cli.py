@@ -68,6 +68,34 @@ class TestRun:
         ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
         assert ids == ["run-00001", "run-00002"]
 
+    def test_header_that_is_not_an_object_exit_3(self, tmp_path):
+        corpus = synth(tmp_path)
+        lines = corpus.read_text().splitlines()
+        corpus.write_text("\n".join(["[1]"] + lines[1:]) + "\n")
+        assert main(["run", str(corpus), "--out", str(tmp_path / "r.jsonl"),
+                     *SMALL]) == EXIT_INPUT
+
+    def test_run_record_that_is_not_an_object_skipped(self, tmp_path, caplog):
+        corpus = synth(tmp_path)
+        lines = corpus.read_text().splitlines()
+        lines[2] = "[1, 2]"
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(corpus), "--out", str(out), *SMALL]) == EXIT_INPUT
+        assert "position 1" in caplog.text
+        ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
+        assert ids == ["run-00000", "run-00002"]
+
+    def test_truncated_manifest_exit_3_and_results_untouched(self, tmp_path):
+        corpus = synth(tmp_path)
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(corpus), "--out", str(out), *SMALL]) == EXIT_OK
+        results = out.read_bytes()
+        manifest = out.with_name("r.jsonl.manifest.json")
+        manifest.write_bytes(manifest.read_bytes()[:40])
+        assert main(["run", str(corpus), "--out", str(out), *SMALL]) == EXIT_INPUT
+        assert out.read_bytes() == results
+
     def test_unwritable_output_exit_4(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "no" / "dir" / "c.jsonl"),
                      "--systems", "1", "--world-states", "2"]) == EXIT_IO
@@ -138,6 +166,12 @@ class TestReport:
         empty.write_text("")
         assert main(["report", str(empty),
                      "--out", str(tmp_path / "rep2")]) == EXIT_INPUT
+
+    def test_result_record_that_is_not_an_object_exit_3(self, pipeline):
+        tmp_path, _ = pipeline
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("[1]\n")
+        assert main(["report", str(bad), "--out", str(tmp_path / "rep4")]) == EXIT_INPUT
 
     def test_missing_model_exit_3(self, pipeline):
         tmp_path, results = pipeline

@@ -320,6 +320,12 @@ class TestTypeValidation:
         again = VisualSystem.from_flat(v.as_flat())
         assert np.array_equal(again.fa, v.fa) and np.array_equal(again.miss, v.miss)
 
+    def test_detection_stats_of_stats_are_the_stats_given(self):
+        o = Observation((frozenset({0}), frozenset()))
+        stats = DetectionStats.from_observation(o, 2)
+        assert stats.counts.tolist() == [1, 0] and stats.frame_count == 2
+        assert DetectionStats.from_observation(stats, 2) is stats
+
     def test_detection_stats_bounds(self):
         with pytest.raises(ValueError):
             DetectionStats(counts=np.array([5]), frame_count=4)

@@ -70,6 +70,14 @@ class TestConfigValidation:
             small_config(jobs=0)
 
 
+    def test_settings_and_prior_map_both_ways(self):
+        cfg = small_config(num_categories=8, count_min=2, count_max=6,
+                           poisson_lambda=2.0, beta_alpha=3.0, models=("threshold",))
+        assert ExperimentConfig.from_echo(cfg.echo()) == cfg
+        settings = ExperimentConfig.prior_settings(cfg.prior())
+        assert small_config(num_categories=8, **settings).prior() == cfg.prior()
+
+
 class TestEvaluateRun:
     def test_produces_all_model_maps_and_traces(self):
         config = small_config()

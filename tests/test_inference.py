@@ -8,9 +8,12 @@ from detcal.core import (
     Observation,
     PriorConfig,
     VisualSystem,
+    observation_log_likelihood,
     render_percept,
 )
+from detcal.dataset import synthesize_run
 from detcal.inference import (
+    ParticleEnsemble,
     ParticleFilterConfig,
     assimilate_observation,
     estimate_v,
@@ -312,9 +315,8 @@ class TestRunFilterDeterminism:
         prior, observations = random_instance(rng, 3, n_obs=5)
         cfg = ParticleFilterConfig(num_particles=30, seed=7)
         v = VisualSystem(fa=np.full(3, 0.15), miss=np.full(3, 0.1))
-        worlds = [frozenset({0})] * 5
-        a = run_filter(observations, cfg, prior, 3, v_true=v, true_states=worlds)
-        b = run_filter(observations, cfg, prior, 3, v_true=v, true_states=worlds)
+        a = run_filter(observations, cfg, prior, 3, v_true=v)
+        b = run_filter(observations, cfg, prior, 3, v_true=v)
         assert a.map_states == b.map_states
         assert a.mse == b.mse
         for ea, eb in zip(a.estimates, b.estimates):
@@ -325,7 +327,7 @@ class TestRunFilterDeterminism:
         cfg = ParticleFilterConfig(num_particles=20, seed=1)
         trace = run_filter(observations, cfg, prior, 3)
         assert len(trace.estimates) == 4 and len(trace.map_states) == 4
-        assert trace.mse is None and trace.accuracy is None
+        assert trace.mse is None
         assert trace.final_estimate is trace.estimates[-1]
 
 
@@ -334,7 +336,6 @@ class TestLearning:
         # statistical smoke test at small scale: 12 runs, 30 observations
         prior = PRIOR5
         cfg = ParticleFilterConfig(num_particles=60, seed=0)
-        from detcal.dataset import synthesize_run
         initial, first, last = [], [], []
         for i in range(12):
             run = synthesize_run(prior, 5, 30, np.random.default_rng(1000 + i))
@@ -366,12 +367,44 @@ class TestSamplingRegime:
         assert ens.enumerated is False
         initial = [ens.particle(m).v_hat for m in range(6)]
         assimilate_observation(ens, observations[0])
-        from detcal.core import observation_log_likelihood, DetectionStats as DS
-        stats = DS.from_observation(observations[0], 2)
+        stats = DetectionStats.from_observation(observations[0], 2)
         for m in range(6):
             w = ens.particle(m).world_beliefs[0]
             expected = observation_log_likelihood(stats, w, initial[m])
-            assert ens.log_weights[m] == pytest.approx(expected, abs=1e-10)
+            assert ens.log_weights[m] == expected
+
+    def test_default_config_samples_above_the_enumeration_limit(self, monkeypatch):
+        # C=16 is one past the default enumeration_limit, the real trigger
+        prior = PriorConfig()
+        cfg = ParticleFilterConfig(seed=4)
+        run = synthesize_run(prior, 16, 6, np.random.default_rng(16))
+        a = run_filter(run.observations, cfg, prior, 16)
+        b = run_filter(run.observations, cfg, prior, 16)
+        assert a.map_states == b.map_states
+        for ea, eb in zip(a.estimates, b.estimates):
+            assert np.array_equal(ea.as_flat(), eb.as_flat())
+
+        # the weight of each particle is the likelihood at its sampled scene,
+        # read before a resample would reset the weights
+        ens = init_ensemble(cfg, prior, 16)
+        assert ens.enumerated is False
+        initial = [ens.particle(m).v_hat for m in range(ens.num_particles)]
+        seen = {}
+        reorder = ParticleEnsemble._reorder
+
+        def spy(self, idx):
+            seen["log_weights"] = self.log_weights.copy()
+            seen["scenes"] = self._world_samples[:, -1].copy()
+            reorder(self, idx)
+
+        monkeypatch.setattr(ParticleEnsemble, "_reorder", spy)
+        assimilate_observation(ens, run.observations[0])
+        log_weights = seen.get("log_weights", ens.log_weights)
+        scenes = seen.get("scenes", ens._world_samples[:, -1])
+        stats = DetectionStats.from_observation(run.observations[0], 16)
+        for m in range(ens.num_particles):
+            w = frozenset(np.nonzero(scenes[m])[0].tolist())
+            assert log_weights[m] == observation_log_likelihood(stats, w, initial[m])
 
     def test_majority_vote_readout(self, rng):
         prior, observations = random_instance(rng, 2, n_obs=1)
