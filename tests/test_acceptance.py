@@ -282,6 +282,49 @@ class TestSampledReadoutOracle:
         assert readout(5) == readout(5)
 
 
+# The exact desk at its own values: the exact default's readouts at corpus
+# seed 0, measured on the filter whose particles held point rates moved by
+# MH sweeps, each with the band it may worsen by. A band is the range
+# (max - min) of that metric over the exact desk at corpus seeds 1-4 on that
+# same filter, rounded up in its last digit: the spread between corpora,
+# not a chosen tolerance.
+EXACT_DESK_FLOORS = {
+    # metric: (value at seed 0, band)
+    "retrospective": (0.922, 0.00415),
+    "online t=1": (0.848, 0.018),
+    "online t=40": (0.911, 0.008),
+    "online t=75": (0.927, 0.009),
+}
+EXACT_DESK_CEILINGS = {
+    "MSE fa t=40": (0.00051, 5.7e-06),
+    "MSE miss t=40": (0.00121, 8.65e-05),
+    "MSE combined t=40": (0.00086, 4.04e-05),
+}
+
+
+class TestExactDeskRegression:
+    """Criteria 1-3 bound the exact desk only by the sampler; this bounds it
+    by its own values, so a regression smaller than that gap shows."""
+
+    def test_exact_desk_holds_its_values(self, desk):
+        fa, miss, combined = desk.mse_by_t[40]
+        got = {
+            "retrospective": desk.summary[MODEL_RETRO][0],
+            "online t=1": desk.accuracy_by_t[1][MODEL_ONLINE],
+            "online t=40": desk.accuracy_by_t[40][MODEL_ONLINE],
+            "online t=75": desk.accuracy_by_t[75][MODEL_ONLINE],
+            "MSE fa t=40": fa,
+            "MSE miss t=40": miss,
+            "MSE combined t=40": combined,
+        }
+        checks = [(f"{name} {got[name]:.6g} >= {value} - {band}", got[name] >= value - band)
+                  for name, (value, band) in EXACT_DESK_FLOORS.items()]
+        checks += [(f"{name} {got[name]:.6g} <= {value} + {band}", got[name] <= value + band)
+                   for name, (value, band) in EXACT_DESK_CEILINGS.items()]
+        failed = [desc for desc, ok in checks if not ok]
+        assert not failed, "exact desk regressed: " + "; ".join(failed)
+
+
 class TestCriterion4FittedThreshold:
     def test_fitted_threshold(self, desk):
         acc, theta = desk.summary["fitted_threshold"]
