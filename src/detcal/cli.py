@@ -114,13 +114,16 @@ def _add_settings(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--categories", type=int, help="number of object categories")
     g.add_argument("--particles", type=int, help="particle count (default 100)")
     g.add_argument("--proposal-sigma", type=float, dest="proposal_sigma",
-                   help="random-walk proposal scale (default 0.1)")
+                   help="random-walk proposal scale of the MH sweeps; sampling "
+                        "regime only (default 0.1)")
     g.add_argument("--sweeps", type=int,
-                   help="rejuvenation sweeps per observation (default 1)")
+                   help="MH rejuvenation sweeps per observation; sampling "
+                        "regime only (default 1)")
     g.add_argument("--ess-threshold", type=float, dest="ess_threshold",
                    help="resample when ESS drops below this fraction (default 0.5)")
     g.add_argument("--enumeration-limit", type=int, dest="enumeration_limit",
-                   help="max categories for exact state enumeration (default 15)")
+                   help="max categories for particle learning over enumerated "
+                        "scenes; above it the filter samples scenes (default 15)")
     g.add_argument("--frames-min", type=int, dest="frames_min")
     g.add_argument("--frames-max", type=int, dest="frames_max")
     g.add_argument("--count-min", type=int, dest="count_min")

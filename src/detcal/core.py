@@ -361,13 +361,37 @@ def state_log_joint(counts, frame_count, fa, miss, space: StateSpace) -> np.ndar
     pres_term = xlogy(k, 1.0 - miss) + xlogy(rest, miss)
     abs_term = xlogy(k, fa) + xlogy(rest, 1.0 - fa)
     if np.isfinite(pres_term).all() and np.isfinite(abs_term).all():
-        return pres_term @ space.presence.T + abs_term @ space.absence.T + space.log_prior
+        return _over_states(pres_term, abs_term, space)
     out = (np.where(np.isfinite(pres_term), pres_term, 0.0) @ space.presence.T
            + np.where(np.isfinite(abs_term), abs_term, 0.0) @ space.absence.T)
     hit = (np.isneginf(pres_term).astype(np.float64) @ space.presence.T
            + np.isneginf(abs_term).astype(np.float64) @ space.absence.T)
     out[hit > 0.0] = -np.inf
     return out + space.log_prior
+
+
+def state_log_predictive(counts, frame_count, a_fa, b_fa, a_miss, b_miss,
+                         space: StateSpace) -> np.ndarray:
+    """log [ p(observation | w, Beta counts) * P(w) ] with the rates integrated out.
+
+    The particle-learning counterpart of ``state_log_joint``, with the same
+    broadcasting: each rate is Beta(a, b) instead of a point value. The
+    false-alarm counts (``a_fa`` hits, ``b_fa`` rejections) score absent
+    categories, betaln(a_fa + k, b_fa + F - k) - betaln(a_fa, b_fa); the
+    miss counts (``a_miss`` misses, ``b_miss`` detections) score present
+    ones, betaln(a_miss + F - k, b_miss + k) - betaln(a_miss, b_miss).
+    Positive counts keep every term finite.
+    """
+    k = np.asarray(counts, dtype=np.float64)
+    rest = np.asarray(frame_count, dtype=np.float64)[..., None] - k
+    pres_term = betaln(a_miss + rest, b_miss + k) - betaln(a_miss, b_miss)
+    abs_term = betaln(a_fa + k, b_fa + rest) - betaln(a_fa, b_fa)
+    return _over_states(pres_term, abs_term, space)
+
+
+def _over_states(pres_term, abs_term, space: StateSpace) -> np.ndarray:
+    """Per-state sums of finite per-category terms, plus the state prior."""
+    return pres_term @ space.presence.T + abs_term @ space.absence.T + space.log_prior
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,13 @@ class Run:
         }
 
     @classmethod
-    def from_record(cls, rec: dict) -> "Run":
-        return cls(
+    def from_record(cls, rec: dict, num_categories: int) -> "Run":
+        """The run of a corpus record whose header says ``num_categories``.
+
+        Raises ValueError when the record's rates are not 2C long or a world
+        state or percept names a category index outside [0, C).
+        """
+        run = cls(
             run_id=rec["run_id"],
             v_true=VisualSystem.from_flat(rec["v_true"]),
             world_states=[frozenset(w) for w in rec["world_states"]],
@@ -88,6 +93,15 @@ class Run:
                           for frames in rec["observations"]],
             seed=rec.get("seed"),
         )
+        if run.v_true.num_categories != num_categories:
+            raise ValueError(f"v_true holds rates of {run.v_true.num_categories} "
+                             f"categories, the corpus has {num_categories}")
+        named = set().union(*run.world_states,
+                            *(p for o in run.observations for p in o.percepts))
+        bad = [c for c in named if not (isinstance(c, int) and 0 <= c < num_categories)]
+        if bad:
+            raise ValueError(f"category index {bad[0]!r} is outside 0..{num_categories - 1}")
+        return run
 
 
 @dataclass
@@ -198,13 +212,22 @@ def _parse_header(line: str) -> Corpus:
     if rec.get("schema_version") != SCHEMA_VERSION:
         raise CorpusFormatError(
             f"unsupported schema_version {rec.get('schema_version')}")
-    p = rec["prior"]
-    prior = PriorConfig(
-        beta_alpha=p["beta_alpha"], beta_beta=p["beta_beta"],
-        poisson_lambda=p["poisson_lambda"],
-        count_bounds=tuple(p["count_bounds"]),
-        frames_bounds=tuple(p["frames_bounds"]))
-    return Corpus(prior=prior, num_categories=rec["num_categories"], runs=None,
+    try:
+        p = rec["prior"]
+        prior = PriorConfig(
+            beta_alpha=p["beta_alpha"], beta_beta=p["beta_beta"],
+            poisson_lambda=p["poisson_lambda"],
+            count_bounds=tuple(p["count_bounds"]),
+            frames_bounds=tuple(p["frames_bounds"]))
+        num_categories = rec["num_categories"]
+    except KeyError as exc:
+        raise CorpusFormatError(f"line 1: corpus header lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"line 1: bad corpus header ({exc})") from exc
+    if not isinstance(num_categories, int) or num_categories < 1:
+        raise CorpusFormatError(
+            f"line 1: num_categories must be a positive integer, got {num_categories!r}")
+    return Corpus(prior=prior, num_categories=num_categories, runs=None,
                   num_systems=rec.get("num_systems"),
                   world_states_per_system=rec.get("world_states_per_system"),
                   root_seed=rec.get("root_seed"))
@@ -223,7 +246,7 @@ def read_corpus(path) -> Corpus:
                 if not line.strip():
                     continue
                 try:
-                    yield Run.from_record(parse_record(line, "run"))
+                    yield Run.from_record(parse_record(line, "run"), corpus.num_categories)
                 except (ValueError, KeyError, TypeError) as exc:
                     raise CorpusFormatError(f"line {lineno}: bad run record ({exc})") from exc
 

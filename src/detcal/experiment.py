@@ -495,7 +495,7 @@ def _worker_evaluate(task):
     """(chunk, None) on success; (None, reason) for a corrupted record."""
     index, line = task
     try:
-        run = Run.from_record(parse_record(line, "run"))
+        run = Run.from_record(parse_record(line, "run"), _worker_config.num_categories)
     except (ValueError, KeyError, TypeError) as exc:
         return None, f"corpus record at position {index}: {exc}"
     result = evaluate_run(run, _worker_config, index)

@@ -1,18 +1,24 @@
 """Sequential Monte Carlo joint inference over error rates and world states.
 
-Each particle carries a candidate error-rate matrix (the meta-estimate).
-World states are handled per observation: for small category counts every
-valid state is enumerated, the state is marginalized out of the weight
-update exactly, and the particle keeps the full conditional state
-distribution (a Rao-Blackwellized filter). Beyond ``enumeration_limit``
-categories the filter falls back to sampling states from the prior.
+Up to ``enumeration_limit`` categories the filter is particle learning
+(Storvik 2002; Carvalho, Johannes, Lopes & Polson 2010). Each particle
+carries the conjugate Beta counts of its 2C rates, so the rates are
+integrated out, and every valid world state is enumerated. Per
+observation a particle is weighted by the exact one-step predictive
+summed over the states; the online MAP is read from the weighted mixture
+of the particles' state posteriors; the population is resampled
+systematically when the effective sample size drops; and each particle
+draws its state exactly from its own posterior and adds that state's
+detection counts to its Beta counts. A step costs O(M*S*C) and keeps no
+observation history.
 
-Particle degeneracy is fought two ways: systematic resampling when the
-effective sample size drops, and Metropolis-Hastings rejuvenation sweeps
-that perturb each rate entry with a truncated-normal random walk against
-the full observation history. Internally the population is stored as
-struct-of-arrays; ``ParticleEnsemble.particle`` materializes a per-particle
-view for inspection.
+Beyond ``enumeration_limit`` categories the filter falls back to sampling:
+each particle carries point rates, states are drawn from the prior, and
+Metropolis-Hastings rejuvenation sweeps perturb each rate entry with a
+truncated-normal random walk against the full observation history.
+``rejuvenate`` runs the same sweep on a single particle. Internally the
+population is stored as struct-of-arrays; ``ParticleEnsemble.particle``
+materializes a per-particle view for inspection.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .core import (
     beta_sample,
     state_log_joint,
     state_log_likelihood,
+    state_log_predictive,
     truncated_normal_log_normalizer,
     truncated_normal_sample,
     truncated_poisson_sample,
@@ -47,7 +54,11 @@ _INTERIOR_EPS = 1e-12
 
 @dataclass(frozen=True)
 class ParticleFilterConfig:
-    """Knobs of the filter; defaults match the reference experiment setup."""
+    """Knobs of the filter; defaults match the reference experiment setup.
+
+    ``proposal_sigma`` and ``rejuvenation_sweeps_per_observation`` act only
+    in the sampling regime (and ``proposal_sigma`` in ``rejuvenate``).
+    """
 
     num_particles: int = 100
     proposal_sigma: float = 0.1
@@ -72,7 +83,12 @@ class ParticleFilterConfig:
 
 @dataclass
 class Particle:
-    """Read-only view of one hypothesis: rates, state beliefs, weight."""
+    """Read-only view of one hypothesis: rates, state beliefs, weight.
+
+    Exact regime: posterior-mean rates and the latest observation's state
+    posterior. Sampling regime: point rates and a sampled state per
+    observation.
+    """
 
     v_hat: MetaEstimate
     world_beliefs: list
@@ -115,7 +131,15 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 
 
 class ParticleEnsemble:
-    """Particle population plus the cached per-observation state posteriors."""
+    """Particle population; what a particle carries depends on the regime.
+
+    Exact regime: Beta counts ``a_fa`` (hits), ``b_fa`` (rejections),
+    ``a_miss`` (misses) and ``b_miss`` (detections), all (M, C); the latest
+    observation's state posteriors ``beliefs`` (M, S); and the states drawn
+    from them, ``scenes`` (M,), indexing ``space.states``. Sampling regime:
+    point rates ``fa`` and ``miss`` (M, C), the observation history and a
+    sampled state per particle and observation.
+    """
 
     def __init__(self, config: ParticleFilterConfig, prior: PriorConfig,
                  num_categories: int, rng: np.random.Generator):
@@ -133,30 +157,39 @@ class ParticleEnsemble:
         self.space = StateSpace.build(prior, num_categories) if self.enumerated else None
 
         m = config.num_particles
-        self.fa = np.clip(
-            beta_sample(prior.beta_alpha, prior.beta_beta, rng, size=(m, num_categories)),
-            _INTERIOR_EPS, 1.0 - _INTERIOR_EPS)
-        self.miss = np.clip(
-            beta_sample(prior.beta_alpha, prior.beta_beta, rng, size=(m, num_categories)),
-            _INTERIOR_EPS, 1.0 - _INTERIOR_EPS)
         self.log_weights = np.zeros(m)
         self.estimate_used_weights = False
-
-        self._counts: list = []   # (C,) int per observation
-        self._frames: list = []
-        size = self.space.size if self.enumerated else 0
-        self._post = np.zeros((m, 0, size))    # conditional state posteriors
-        self._world_samples = np.zeros((m, 0, num_categories), dtype=bool)
+        self.num_observations = 0
+        shape = (m, num_categories)
+        if self.enumerated:
+            self.a_fa = np.full(shape, float(prior.beta_alpha))
+            self.b_fa = np.full(shape, float(prior.beta_beta))
+            self.a_miss = np.full(shape, float(prior.beta_alpha))
+            self.b_miss = np.full(shape, float(prior.beta_beta))
+            self.beliefs = None
+            self.scenes = None
+            self._maps: list = []   # online MAP state per observation
+        else:
+            self.fa = np.clip(beta_sample(prior.beta_alpha, prior.beta_beta, rng, size=shape),
+                              _INTERIOR_EPS, 1.0 - _INTERIOR_EPS)
+            self.miss = np.clip(beta_sample(prior.beta_alpha, prior.beta_beta, rng, size=shape),
+                                _INTERIOR_EPS, 1.0 - _INTERIOR_EPS)
+            self._counts: list = []   # (C,) int per observation
+            self._frames: list = []
+            self._world_samples = np.zeros((m, 0, num_categories), dtype=bool)
 
     # -- bookkeeping ------------------------------------------------------
 
     @property
     def num_particles(self) -> int:
-        return self.fa.shape[0]
+        return self.log_weights.shape[0]
 
-    @property
-    def num_observations(self) -> int:
-        return len(self._frames)
+    def rates(self):
+        """Per-particle (fa, miss), (M, C) each; posterior means in the exact regime."""
+        if self.enumerated:
+            return (self.a_fa / (self.a_fa + self.b_fa),
+                    self.a_miss / (self.a_miss + self.b_miss))
+        return self.fa, self.miss
 
     @property
     def weights(self) -> np.ndarray:
@@ -170,25 +203,24 @@ class ParticleEnsemble:
 
     def particle(self, m: int) -> Particle:
         """Materialize particle m (copies; edits do not write back)."""
-        v_hat = VisualSystem(fa=self.fa[m].copy(), miss=self.miss[m].copy())
+        fa, miss = self.rates()
+        v_hat = VisualSystem(fa=fa[m].copy(), miss=miss[m].copy())
         if self.enumerated:
-            beliefs = [self._post[m, t].copy() for t in range(self.num_observations)]
+            beliefs = [] if self.beliefs is None else [self.beliefs[m].copy()]
         else:
             beliefs = [frozenset(np.nonzero(self._world_samples[m, t])[0].tolist())
                        for t in range(self.num_observations)]
         return Particle(v_hat=v_hat, world_beliefs=beliefs,
                         log_weight=float(self.log_weights[m]))
 
-    def _count_matrix(self):
-        return (np.array(self._counts, dtype=np.float64),
-                np.array(self._frames, dtype=np.float64))
-
     def _reorder(self, idx: np.ndarray):
-        self.fa = self.fa[idx].copy()
-        self.miss = self.miss[idx].copy()
         if self.enumerated:
-            self._post = self._post[idx].copy()
+            self.a_fa, self.b_fa = self.a_fa[idx], self.b_fa[idx]
+            self.a_miss, self.b_miss = self.a_miss[idx], self.b_miss[idx]
+            self.beliefs = self.beliefs[idx]
         else:
+            self.fa = self.fa[idx].copy()
+            self.miss = self.miss[idx].copy()
             self._world_samples = self._world_samples[idx].copy()
         self.log_weights = np.zeros(self.num_particles)
 
@@ -196,7 +228,7 @@ class ParticleEnsemble:
 def init_ensemble(config: ParticleFilterConfig, prior: PriorConfig,
                   num_categories: int,
                   rng: np.random.Generator | None = None) -> ParticleEnsemble:
-    """Fresh ensemble: rates drawn from the Beta prior, uniform weights."""
+    """Fresh ensemble at the Beta prior (counts, or drawn rates), uniform weights."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     return ParticleEnsemble(config, prior, num_categories, rng)
@@ -224,29 +256,17 @@ def _sample_prior_worlds(prior: PriorConfig, num_categories: int, m: int,
 # Rejuvenation
 # ---------------------------------------------------------------------------
 
-def _refresh_posteriors(post, q_present, space: StateSpace, idx, delta, per_obs,
-                        mask, fa, miss, counts, frames) -> None:
-    """Update cached conditionals for particles whose entry just moved.
+def _history_posteriors(fa, miss, counts, frames, space: StateSpace) -> np.ndarray:
+    """(n, T, S) state posteriors of every observation under each row's rates."""
+    return _softmax_rows(state_log_joint(counts, frames, fa[:, None, :],
+                                         miss[:, None, :], space))
 
-    The accepted move rescales the touched states by exp(delta) and the
-    normalizer by exp(per_obs), so the posterior update is multiplicative;
-    rows where that under/overflows are recomputed from the observation
-    history (counts, frames) under the moved rates.
-    """
-    scale = np.exp(delta[idx])      # (n, T)
-    norm = np.exp(per_obs[idx])
-    good = np.all(np.isfinite(scale), axis=1) & np.all(norm > 0.0, axis=1) \
-        & np.all(np.isfinite(norm), axis=1)
-    if good.any():
-        rows = idx[good]
-        factor = np.where(mask > 0.0, scale[good][:, :, None], 1.0)
-        # exp(per_obs) is exactly the normalizer of the rescaled row, so no
-        # renormalization pass is needed (per-update drift is ~1e-16).
-        post[rows] = post[rows] * factor / norm[good][:, :, None]
-    if not good.all():
-        rows = idx[~good]
-        post[rows] = _softmax_rows(state_log_joint(
-            counts, frames, fa[rows, None, :], miss[rows, None, :], space))
+
+def _refresh_posteriors(post, q_present, space: StateSpace, idx, fa, miss,
+                        counts, frames) -> None:
+    """Recompute the conditionals of the particles whose entry just moved,
+    from the observation history (counts, frames) under the moved rates."""
+    post[idx] = _history_posteriors(fa[idx], miss[idx], counts, frames, space)
     q_present[idx] = post[idx] @ space.presence
 
 
@@ -257,13 +277,13 @@ def _rejuvenation_sweep(fa, miss, post, world_samples, counts, frames,
 
     Operates on the arrays in place, vectorized across particles. Per
     observation the entry's likelihood ratio is log(q * exp(delta) + 1 - q),
-    where q is the mass on the states the entry touches. In the enumeration
-    regime q comes from the cached conditionals ``post``, so the target is
-    the full-history marginal (states summed out), and accepted moves
-    refresh ``post``. In the sampling regime (``space`` is None) q is each
-    particle's stored 0/1 presence, where the ratio is exactly delta on the
-    touched observations and 0 elsewhere: the likelihood conditions on the
-    stored states.
+    where q is the mass on the states the entry touches. With an enumerated
+    ``space`` (``rejuvenate`` only) q comes from the conditionals ``post``,
+    so the target is the full-history marginal (states summed out), and
+    accepted moves recompute ``post``. In the sampling regime (``space`` is
+    None) q is each particle's stored 0/1 presence, where the ratio is
+    exactly delta on the touched observations and 0 elsewhere: the
+    likelihood conditions on the stored states.
     """
     m, c = fa.shape
     a, b = prior.beta_alpha, prior.beta_beta
@@ -318,9 +338,7 @@ def _rejuvenation_sweep(fa, miss, post, world_samples, counts, frames,
         else:
             miss[idx, cat] = proposal[idx]
         if space is not None:
-            mask = space.absence[:, cat] if is_fa else space.presence[:, cat]
-            _refresh_posteriors(post, q_present, space, idx, delta, per_obs, mask,
-                                fa, miss, counts, frames)
+            _refresh_posteriors(post, q_present, space, idx, fa, miss, counts, frames)
 
 
 def rejuvenate(particle: Particle, history, config: ParticleFilterConfig,
@@ -341,8 +359,7 @@ def rejuvenate(particle: Particle, history, config: ParticleFilterConfig,
 
     if num_categories <= config.enumeration_limit:
         space = StateSpace.build(prior, num_categories)
-        post = _softmax_rows(state_log_joint(counts, frames, fa[:, None, :],
-                                             miss[:, None, :], space))
+        post = _history_posteriors(fa, miss, counts, frames, space)
         world_samples = None
     else:
         space = post = None
@@ -368,56 +385,85 @@ def rejuvenate(particle: Particle, history, config: ParticleFilterConfig,
 
 def assimilate_observation(ensemble: ParticleEnsemble,
                            observation: Observation | DetectionStats) -> ParticleEnsemble:
-    """Absorb one observation: weight, maybe resample, then rejuvenate.
+    """Absorb one observation: weight, maybe resample, then move the particles.
 
-    In the enumeration regime each particle's weight is multiplied by the
-    exact marginal likelihood over all valid world states and the exact
-    conditional state distribution is stored; in the sampling regime a
-    state is drawn from the prior and the weight uses the likelihood at it.
+    Exact regime (particle learning): each particle's weight is multiplied
+    by the exact one-step predictive summed over all valid world states, the
+    online MAP is read from the weighted mixture of the particles' state
+    posteriors, and after resampling each particle draws its state from its
+    own posterior and adds that state's counts. Sampling regime: a state is
+    drawn from the prior, the weight uses the likelihood at it, and MH
+    sweeps move the rates against the full history.
     """
     stats = DetectionStats.from_observation(observation, ensemble.num_categories)
     if stats.num_categories != ensemble.num_categories:
         raise ValueError("observation does not match the ensemble's category count")
+    ensemble.num_observations += 1
+    if ensemble.enumerated:
+        _learning_step(ensemble, stats)
+    else:
+        _sampling_step(ensemble, stats)
+    return ensemble
 
-    cfg = ensemble.config
-    rng = ensemble.rng
+
+def _resample_if_degenerate(ensemble: ParticleEnsemble) -> None:
+    threshold = ensemble.config.ess_resample_threshold * ensemble.num_particles
+    if ensemble.effective_sample_size < threshold:
+        ensemble._reorder(systematic_resample(ensemble.weights, ensemble.rng))
+
+
+def _learning_step(ens: ParticleEnsemble, stats: DetectionStats) -> None:
+    """The exact regime's step: particle learning over the enumerated states."""
+    counts = stats.counts.astype(np.float64)
+    rest = stats.frame_count - counts
+    space = ens.space
+    ll = state_log_predictive(counts, stats.frame_count, ens.a_fa, ens.b_fa,
+                              ens.a_miss, ens.b_miss, space)
+    ens.log_weights += logsumexp(ll, axis=1)
+    ens.beliefs = _softmax_rows(ll)
+    ens._maps.append(space.states[int(np.argmax(ens.weights @ ens.beliefs))])
+    _resample_if_degenerate(ens)
+
+    # inverse-CDF draw; a state of zero posterior mass is never drawn
+    cum = np.cumsum(ens.beliefs, axis=1)
+    u = ens.rng.random(ens.num_particles) * cum[:, -1]
+    ens.scenes = np.sum(cum <= u[:, None], axis=1)
+    present = space.presence[ens.scenes]
+    absent = space.absence[ens.scenes]
+    ens.a_fa += absent * counts
+    ens.b_fa += absent * rest
+    ens.a_miss += present * rest
+    ens.b_miss += present * counts
+
+
+def _sampling_step(ens: ParticleEnsemble, stats: DetectionStats) -> None:
+    """The sampling regime's step: prior states, weights at them, MH sweeps."""
     counts = stats.counts.astype(np.float64)
     frames = float(stats.frame_count)
+    presence = _sample_prior_worlds(ens.prior, ens.num_categories,
+                                    ens.num_particles, ens.rng)
+    ens.log_weights += state_log_likelihood(counts, frames, ens.fa, ens.miss, presence)
+    ens._world_samples = np.concatenate(
+        [ens._world_samples, presence[:, None, :]], axis=1)
+    ens._counts.append(stats.counts.copy())
+    ens._frames.append(stats.frame_count)
+    _resample_if_degenerate(ens)
 
-    if ensemble.enumerated:
-        ll_new = state_log_joint(counts, frames, ensemble.fa, ensemble.miss,
-                                 ensemble.space)
-        ensemble.log_weights += logsumexp(ll_new, axis=1)
-        ensemble._post = np.concatenate(
-            [ensemble._post, _softmax_rows(ll_new)[:, None, :]], axis=1)
-    else:
-        presence = _sample_prior_worlds(ensemble.prior, ensemble.num_categories,
-                                        ensemble.num_particles, rng)
-        ensemble.log_weights += state_log_likelihood(counts, frames, ensemble.fa,
-                                                     ensemble.miss, presence)
-        ensemble._world_samples = np.concatenate(
-            [ensemble._world_samples, presence[:, None, :]], axis=1)
-
-    ensemble._counts.append(stats.counts.copy())
-    ensemble._frames.append(stats.frame_count)
-
-    if ensemble.effective_sample_size < cfg.ess_resample_threshold * ensemble.num_particles:
-        idx = systematic_resample(ensemble.weights, rng)
-        ensemble._reorder(idx)
-
-    count_mat, frame_vec = ensemble._count_matrix()
+    cfg = ens.config
+    count_mat = np.array(ens._counts, dtype=np.float64)
+    frame_vec = np.array(ens._frames, dtype=np.float64)
     for _ in range(cfg.rejuvenation_sweeps_per_observation):
-        _rejuvenation_sweep(ensemble.fa, ensemble.miss, ensemble._post,
-                            ensemble._world_samples, count_mat, frame_vec,
-                            ensemble.space, ensemble.prior, cfg.proposal_sigma, rng)
-    return ensemble
+        _rejuvenation_sweep(ens.fa, ens.miss, None, ens._world_samples, count_mat,
+                            frame_vec, None, ens.prior, cfg.proposal_sigma, ens.rng)
 
 
 def estimate_v(ensemble: ParticleEnsemble) -> MetaEstimate:
     """Weight-averaged rate estimate; flags when weights were non-uniform.
 
-    After a resample the weights are uniform and this is the plain particle
-    mean. If called between resamples the weighted mean is used instead and
+    Averages the particles' rates: their point rates in the sampling regime,
+    the posterior means of their Beta counts in the exact regime. After a
+    resample the weights are uniform and this is the plain particle mean.
+    If called between resamples the weighted mean is used instead and
     ``ensemble.estimate_used_weights`` is set.
     """
     if ensemble.num_particles == 0:
@@ -428,23 +474,24 @@ def estimate_v(ensemble: ParticleEnsemble) -> MetaEstimate:
     if not uniform:
         logger.debug("estimate_v on non-uniform weights (ESS %.1f of %d)",
                      ensemble.effective_sample_size, ensemble.num_particles)
-    return VisualSystem(fa=w @ ensemble.fa, miss=w @ ensemble.miss)
+    fa, miss = ensemble.rates()
+    return VisualSystem(fa=w @ fa, miss=w @ miss)
 
 
 def online_map_world_state(ensemble: ParticleEnsemble, t: int) -> WorldState:
-    """Point estimate of world state t from the current ensemble.
+    """Point estimate of world state t.
 
-    Enumeration regime: argmax of the weight-averaged conditional state
-    posteriors (first state in tie-break order wins). Sampling regime:
-    majority vote over the particles' stored states, ties broken by
-    weighted posterior mass, then by the bit-vector order.
+    Exact regime: the argmax of the weight-averaged state posteriors read
+    when observation t was assimilated, before resampling (first state in
+    tie-break order wins). Sampling regime: majority vote over the current
+    particles' stored states, ties broken by weighted posterior mass, then
+    by the bit-vector order.
     """
     if not 0 <= t < ensemble.num_observations:
         raise IndexError(f"observation {t} not assimilated yet")
-    w = ensemble.weights
     if ensemble.enumerated:
-        averaged = w @ ensemble._post[:, t, :]
-        return ensemble.space.states[int(np.argmax(averaged))]
+        return ensemble._maps[t]
+    w = ensemble.weights
 
     presence = ensemble._world_samples[:, t, :]
     c = ensemble.num_categories

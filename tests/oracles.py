@@ -69,15 +69,6 @@ def _logsumexp(values):
     return peak + math.log(sum(math.exp(v - peak) for v in values))
 
 
-def marginal_loglik_oracle(percepts, fa, miss, lam, lo, hi, num_categories):
-    """log sum_w P(obs | w) P(w) by explicit enumeration."""
-    terms = []
-    for world in enumerate_states_oracle(num_categories, lo, hi):
-        terms.append(observation_loglik_oracle(percepts, world, fa, miss)
-                     + state_log_prior_oracle(world, lam, lo, hi, num_categories))
-    return _logsumexp(terms)
-
-
 def state_posterior_oracle(percepts, fa, miss, lam, lo, hi, num_categories):
     """Normalized posterior over the enumerated states, in oracle order."""
     states = enumerate_states_oracle(num_categories, lo, hi)
@@ -101,6 +92,86 @@ def map_state_oracle(percepts, fa, miss, lam, lo, hi, num_categories):
         if p > best_p:
             best, best_p = w, p
     return best
+
+
+def urn_loglik_oracle(percepts, world, a_fa, b_fa, a_miss, b_miss):
+    """log p(percepts | world) with each rate integrated out under Beta counts.
+
+    One Polya urn per rate, drawn frame by frame, with no Beta function: an
+    absent category is reported with probability a_fa / (a_fa + b_fa), and
+    the drawn ball goes back with a copy (a report adds 1 to a_fa, a
+    rejection 1 to b_fa); a present category is missed with probability
+    a_miss / (a_miss + b_miss) (a miss adds 1 to a_miss, a detection 1 to
+    b_miss). The caller's counts are not changed.
+    """
+    a_fa, b_fa, a_miss, b_miss = (list(map(float, x)) for x in (a_fa, b_fa, a_miss, b_miss))
+    total = 0.0
+    for percept in percepts:
+        for c in range(len(a_fa)):
+            if c in world:
+                if c in percept:
+                    total += math.log(b_miss[c] / (a_miss[c] + b_miss[c]))
+                    b_miss[c] += 1.0
+                else:
+                    total += math.log(a_miss[c] / (a_miss[c] + b_miss[c]))
+                    a_miss[c] += 1.0
+            elif c in percept:
+                total += math.log(a_fa[c] / (a_fa[c] + b_fa[c]))
+                a_fa[c] += 1.0
+            else:
+                total += math.log(b_fa[c] / (a_fa[c] + b_fa[c]))
+                b_fa[c] += 1.0
+    return total
+
+
+def urn_predictive_oracle(percepts, beta_counts, lam, lo, hi, num_categories):
+    """(states, posterior, log predictive) of one observation given Beta counts.
+
+    ``beta_counts`` is (a_fa, b_fa, a_miss, b_miss). The predictive sums
+    ``urn_loglik_oracle`` times the state prior over the enumerated states.
+    """
+    states = enumerate_states_oracle(num_categories, lo, hi)
+    logs = [urn_loglik_oracle(percepts, w, *beta_counts)
+            + state_log_prior_oracle(w, lam, lo, hi, num_categories)
+            for w in states]
+    norm = _logsumexp(logs)
+    return states, [math.exp(v - norm) for v in logs], norm
+
+
+def beta_counts_oracle(history, alpha, beta, num_categories):
+    """(a_fa, b_fa, a_miss, b_miss) after (percepts, world) pairs, frame by frame."""
+    a_fa, b_fa = [alpha] * num_categories, [beta] * num_categories
+    a_miss, b_miss = [alpha] * num_categories, [beta] * num_categories
+    for percepts, world in history:
+        for percept in percepts:
+            for c in range(num_categories):
+                if c in world:
+                    if c in percept:
+                        b_miss[c] += 1
+                    else:
+                        a_miss[c] += 1
+                elif c in percept:
+                    a_fa[c] += 1
+                else:
+                    b_fa[c] += 1
+    return a_fa, b_fa, a_miss, b_miss
+
+
+def urn_path_oracle(percepts_seq, worlds, alpha, beta, lam, lo, hi, num_categories):
+    """Per observation, (state posterior, log predictive) of one particle.
+
+    The particle drew ``worlds[t]`` at observation t; observation t is
+    scored under the Beta counts recounted from scratch over observations
+    before t (``beta_counts_oracle``).
+    """
+    out = []
+    for t, percepts in enumerate(percepts_seq):
+        counts = beta_counts_oracle(zip(percepts_seq[:t], worlds[:t]), alpha, beta,
+                                    num_categories)
+        _, probs, log_predictive = urn_predictive_oracle(percepts, counts, lam, lo, hi,
+                                                         num_categories)
+        out.append((probs, log_predictive))
+    return out
 
 
 def sampled_map_reference(counts, frames, fa, miss, lam, lo, hi,

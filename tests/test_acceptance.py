@@ -52,10 +52,10 @@ from detcal.experiment import (
 )
 from oracles import (
     map_state_oracle,
-    marginal_loglik_oracle,
     sampled_map_reference,
     state_posterior_oracle,
     truncated_poisson_pmf_oracle,
+    urn_path_oracle,
 )
 
 DESK_SYSTEMS = 1000
@@ -384,6 +384,10 @@ class TestCriterion6ChanceAccuracy:
 
 class TestCriterion7OracleEquivalence:
     def test_small_instance_equivalence(self):
+        # Resampling is off, so particle m keeps its index: its log weight
+        # must be the sum of its exact log predictives, and each step's
+        # beliefs its exact state posterior, both under the Beta counts of
+        # the states it drew before (a frame-by-frame Polya-urn oracle).
         rng = np.random.default_rng(777)
         weight_err = 0.0
         belief_err = 0.0
@@ -393,7 +397,7 @@ class TestCriterion7OracleEquivalence:
             c = int(rng.integers(1, 4))
             prior = PriorConfig(count_bounds=(1, c))
             lo, hi = prior.count_bounds
-            n_obs = int(rng.integers(1, 4))
+            n_obs = int(rng.integers(1, 5))
             observations = []
             for _ in range(n_obs):
                 f = int(rng.integers(1, 6))
@@ -401,32 +405,22 @@ class TestCriterion7OracleEquivalence:
                                       np.nonzero(rng.random(c) < 0.4)[0])
                             for _ in range(f)]
                 observations.append(Observation(tuple(percepts)))
-            # half the instances rejuvenate (validating the cache refresh),
-            # half accumulate weights over several observations
-            with_sweeps = trial % 2 == 0
-            cfg = ParticleFilterConfig(
-                num_particles=6, seed=trial,
-                rejuvenation_sweeps_per_observation=1 if with_sweeps else 0,
-                ess_resample_threshold=1e-9)
-            if with_sweeps:
-                observations = observations[:1]
+            cfg = ParticleFilterConfig(num_particles=6, seed=trial,
+                                       ess_resample_threshold=1e-9)
             ens = init_ensemble(cfg, prior, c)
-            initial = [ens.particle(m).v_hat for m in range(6)]
+            beliefs, scenes = [], []
             for obs in observations:
                 assimilate_observation(ens, obs)
+                beliefs.append(ens.beliefs.copy())
+                scenes.append([ens.space.states[i] for i in ens.scenes])
             for m in range(6):
-                expected = sum(
-                    marginal_loglik_oracle(list(o.percepts), initial[m].fa,
-                                           initial[m].miss, 1.0, lo, hi, c)
-                    for o in observations)
+                path = urn_path_oracle([list(o.percepts) for o in observations],
+                                       [drawn[m] for drawn in scenes],
+                                       prior.beta_alpha, prior.beta_beta, 1.0, lo, hi, c)
+                expected = sum(log_predictive for _, log_predictive in path)
                 weight_err = max(weight_err, abs(ens.log_weights[m] - expected))
-                part = ens.particle(m)
-                for t, obs in enumerate(observations):
-                    _, probs = state_posterior_oracle(
-                        list(obs.percepts), part.v_hat.fa, part.v_hat.miss,
-                        1.0, lo, hi, c)
-                    belief_err = max(belief_err, float(np.max(np.abs(
-                        np.asarray(part.world_beliefs[t]) - probs))))
+                for step, (probs, _) in zip(beliefs, path):
+                    belief_err = max(belief_err, float(np.max(np.abs(step[m] - probs))))
             v_mu = VisualSystem(fa=0.02 + 0.5 * rng.random(c),
                                 miss=0.02 + 0.5 * rng.random(c))
             got = retrospective_infer(v_mu, observations, prior, c)

@@ -86,6 +86,39 @@ class TestRun:
         ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
         assert ids == ["run-00000", "run-00002"]
 
+    def test_header_without_a_required_key_exit_3(self, tmp_path, caplog):
+        corpus = synth(tmp_path)
+        lines = corpus.read_text().splitlines()
+        header = json.loads(lines[0])
+        no_prior = {k: v for k, v in header.items() if k != "prior"}
+        no_count = {k: v for k, v in header.items() if k != "num_categories"}
+        no_field = {**header, "prior": {k: v for k, v in header["prior"].items()
+                                        if k != "beta_beta"}}
+        not_a_count = {**header, "num_categories": "5"}
+        for bad, key in ((no_prior, "prior"), (no_count, "num_categories"),
+                         (no_field, "beta_beta"), (not_a_count, "num_categories")):
+            corpus.write_text("\n".join([json.dumps(bad)] + lines[1:]) + "\n")
+            caplog.clear()
+            assert main(["run", str(corpus), "--out", str(tmp_path / "r.jsonl"),
+                         *SMALL]) == EXIT_INPUT
+            assert key in caplog.text
+
+    def test_run_record_with_a_category_index_beyond_c_skipped(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
+        assert main(["synth", "--out", str(corpus), "--systems", "2",
+                     "--world-states", "4", "--seed", "5"]) == EXIT_OK
+        lines = corpus.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["observations"][0][0] = [9]
+        lines[1] = json.dumps(rec)
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(corpus), "--out", str(out), "--particles", "15"]) \
+            == EXIT_INPUT
+        assert "position 0" in caplog.text and "9" in caplog.text
+        ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
+        assert ids == ["run-00001"]
+
     def test_truncated_manifest_exit_3_and_results_untouched(self, tmp_path):
         corpus = synth(tmp_path)
         out = tmp_path / "r.jsonl"

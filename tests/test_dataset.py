@@ -50,11 +50,20 @@ class TestSynthesizeRun:
     def test_record_round_trip(self):
         run = synthesize_run(PRIOR, 5, 8, np.random.default_rng(5), run_id="x",
                              seed=[9, 0])
-        again = Run.from_record(json.loads(json.dumps(run.to_record())))
+        again = Run.from_record(json.loads(json.dumps(run.to_record())), 5)
         assert again.run_id == run.run_id and again.seed == [9, 0]
         assert np.array_equal(again.v_true.as_flat(), run.v_true.as_flat())
         assert again.world_states == run.world_states
         assert again.observations == run.observations
+
+    def test_record_checked_against_the_category_count(self):
+        rec = synthesize_run(PRIOR, 5, 3, np.random.default_rng(5)).to_record()
+        for field, value in (("world_states", [[0], [5], [1]]),
+                             ("observations", [[[0]], [[-1]], [[2]]]),
+                             ("v_true", [0.1] * 8)):
+            with pytest.raises(ValueError):
+                Run.from_record({**rec, field: value}, 5)
+        assert Run.from_record(rec, 5).run_id == rec["run_id"]
 
     def test_parallel_list_invariant(self):
         v = VisualSystem(fa=np.zeros(2), miss=np.zeros(2))

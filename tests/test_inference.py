@@ -2,43 +2,80 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betaln, logsumexp
 
 from detcal.core import (
     DetectionStats,
     Observation,
     PriorConfig,
     VisualSystem,
+    beta_log_density,
     observation_log_likelihood,
     render_percept,
+    sample_world_state,
 )
 from detcal.dataset import synthesize_run
 from detcal.inference import (
+    Particle,
     ParticleEnsemble,
     ParticleFilterConfig,
     assimilate_observation,
     estimate_v,
     init_ensemble,
     online_map_world_state,
+    rejuvenate,
     retrospective_infer,
     retrospective_map_with_mass,
     run_filter,
     systematic_resample,
 )
 from oracles import (
+    enumerate_states_oracle,
     map_state_oracle,
-    marginal_loglik_oracle,
+    state_log_prior_oracle,
     state_posterior_oracle,
+    truncated_poisson_pmf_oracle,
+    urn_path_oracle,
 )
 
 PRIOR5 = PriorConfig()
 
 
 def small_config(**kw):
+    # the ESS never drops below 1, so 1e-9 turns resampling off
     base = dict(num_particles=8, seed=0,
                 rejuvenation_sweeps_per_observation=0,
                 ess_resample_threshold=1e-9)
     base.update(kw)
     return ParticleFilterConfig(**base)
+
+
+def assimilate_recorded(ens, observations):
+    """Assimilate each observation; per step (beliefs, drawn states)."""
+    steps = []
+    for obs in observations:
+        assimilate_observation(ens, obs)
+        steps.append((ens.beliefs.copy(), [ens.space.states[i] for i in ens.scenes]))
+    return steps
+
+
+def urn_paths(ens, prior, c, observations, steps):
+    """Per particle, the urn oracle's (posterior, log predictive) per step.
+
+    With resampling off a particle keeps its index, so its drawn states
+    are column m of the recorded steps.
+    """
+    lo, hi = prior.count_bounds
+    percepts = [list(o.percepts) for o in observations]
+    return [urn_path_oracle(percepts, [scenes[m] for _, scenes in steps],
+                            prior.beta_alpha, prior.beta_beta, prior.poisson_lambda,
+                            lo, hi, c)
+            for m in range(ens.num_particles)]
+
+
+def rate_particle(fa, miss, log_weight=0.0):
+    return Particle(v_hat=VisualSystem(fa=np.asarray(fa), miss=np.asarray(miss)),
+                    world_beliefs=[], log_weight=log_weight)
 
 
 def random_instance(rng, c, n_obs, f_max=5):
@@ -55,16 +92,34 @@ def random_instance(rng, c, n_obs, f_max=5):
 
 class TestInitEnsemble:
     def test_prior_mean_and_uniform_weights(self):
+        # exact regime: every particle starts at the prior's Beta counts
         ens = init_ensemble(ParticleFilterConfig(seed=3), PRIOR5, 5)
-        entries = np.concatenate([ens.fa.ravel(), ens.miss.ravel()])
-        assert abs(entries.mean() - 1.0 / 6.0) < 0.02
+        for counts, shape in ((ens.a_fa, 2.0), (ens.b_fa, 10.0),
+                              (ens.a_miss, 2.0), (ens.b_miss, 10.0)):
+            assert counts.shape == (100, 5) and np.all(counts == shape)
+        est = estimate_v(ens)
+        assert np.allclose(est.fa, 1.0 / 6.0) and np.allclose(est.miss, 1.0 / 6.0)
         assert np.all(ens.log_weights == 0.0)
         assert ens.effective_sample_size == pytest.approx(100.0)
+        # sampling regime: point rates drawn from the prior
+        ens = init_ensemble(ParticleFilterConfig(seed=3, enumeration_limit=0), PRIOR5, 5)
+        entries = np.concatenate([ens.fa.ravel(), ens.miss.ravel()])
+        assert abs(entries.mean() - 1.0 / 6.0) < 0.02
 
     def test_seed_determinism_is_bitwise(self):
-        a = init_ensemble(ParticleFilterConfig(seed=11), PRIOR5, 5)
-        b = init_ensemble(ParticleFilterConfig(seed=11), PRIOR5, 5)
+        # only the sampling regime draws at start; the exact one draws states
+        cfg = ParticleFilterConfig(seed=11, enumeration_limit=0)
+        a = init_ensemble(cfg, PRIOR5, 5)
+        b = init_ensemble(cfg, PRIOR5, 5)
         assert np.array_equal(a.fa, b.fa) and np.array_equal(a.miss, b.miss)
+        run = synthesize_run(PRIOR5, 5, 10, np.random.default_rng(11))
+        a, b = (init_ensemble(ParticleFilterConfig(seed=11), PRIOR5, 5) for _ in range(2))
+        for obs in run.observations:
+            assimilate_observation(a, obs)
+            assimilate_observation(b, obs)
+            assert np.array_equal(a.scenes, b.scenes)
+        for name in ("a_fa", "b_fa", "a_miss", "b_miss", "log_weights"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -79,74 +134,56 @@ class TestInitEnsemble:
 
 class TestAssimilation:
     def test_weights_match_enumeration_oracle(self, rng):
+        # a log weight is the sum of the particle's exact log predictives,
+        # each under the counts of the states it drew before
         for trial in range(60):
             c = int(rng.integers(1, 4))
-            prior, observations = random_instance(rng, c, n_obs=int(rng.integers(1, 4)))
+            prior, observations = random_instance(rng, c, n_obs=int(rng.integers(1, 5)))
             ens = init_ensemble(small_config(seed=trial), prior, c)
-            initial = [ens.particle(m).v_hat for m in range(ens.num_particles)]
-            for obs in observations:
-                assimilate_observation(ens, obs)
-            lo, hi = prior.count_bounds
-            for m in range(ens.num_particles):
-                expected = sum(
-                    marginal_loglik_oracle(list(o.percepts), initial[m].fa,
-                                           initial[m].miss, prior.poisson_lambda,
-                                           lo, hi, c)
-                    for o in observations)
+            steps = assimilate_recorded(ens, observations)
+            for m, path in enumerate(urn_paths(ens, prior, c, observations, steps)):
+                expected = sum(log_predictive for _, log_predictive in path)
                 assert ens.log_weights[m] == pytest.approx(expected, abs=1e-10)
 
     def test_beliefs_match_posterior_oracle(self, rng):
+        # each step's beliefs are the particle's exact state posterior given
+        # its counts before the step
         for trial in range(40):
             c = int(rng.integers(1, 4))
-            prior, observations = random_instance(rng, c, n_obs=2)
+            prior, observations = random_instance(rng, c, n_obs=3)
             ens = init_ensemble(small_config(seed=100 + trial), prior, c)
-            for obs in observations:
-                assimilate_observation(ens, obs)
+            steps = assimilate_recorded(ens, observations)
             lo, hi = prior.count_bounds
-            for m in range(ens.num_particles):
-                part = ens.particle(m)
-                for t, obs in enumerate(observations):
-                    states, probs = state_posterior_oracle(
-                        list(obs.percepts), part.v_hat.fa, part.v_hat.miss,
-                        prior.poisson_lambda, lo, hi, c)
-                    assert states == list(ens.space.states)
-                    np.testing.assert_allclose(part.world_beliefs[t], probs,
-                                               rtol=1e-10, atol=1e-10)
+            assert list(ens.space.states) == enumerate_states_oracle(c, lo, hi)
+            for m, path in enumerate(urn_paths(ens, prior, c, observations, steps)):
+                for (beliefs, _), (probs, _) in zip(steps, path):
+                    np.testing.assert_allclose(beliefs[m], probs, rtol=1e-10, atol=1e-10)
+                assert len(ens.particle(m).world_beliefs) == 1
+                np.testing.assert_array_equal(ens.particle(m).world_beliefs[0],
+                                              steps[-1][0][m])
 
     def test_beliefs_refresh_after_rejuvenation(self, rng):
-        # with sweeps on, stored beliefs must track the moved rates exactly
+        # rejuvenate() must leave beliefs that are the exact posteriors under
+        # the moved rates
         for trial in range(25):
             c = int(rng.integers(1, 4))
             prior, observations = random_instance(rng, c, n_obs=3)
-            cfg = small_config(rejuvenation_sweeps_per_observation=1,
-                               seed=200 + trial)
-            ens = init_ensemble(cfg, prior, c)
-            for obs in observations:
-                assimilate_observation(ens, obs)
+            history = [DetectionStats.from_observation(o, c) for o in observations]
+            particle = rate_particle(0.05 + 0.4 * rng.random(c), 0.05 + 0.4 * rng.random(c))
+            moved = rejuvenate(particle, history, small_config(), prior,
+                               np.random.default_rng(200 + trial))
             lo, hi = prior.count_bounds
-            for m in range(ens.num_particles):
-                part = ens.particle(m)
-                for t, obs in enumerate(observations):
-                    _, probs = state_posterior_oracle(
-                        list(obs.percepts), part.v_hat.fa, part.v_hat.miss,
-                        prior.poisson_lambda, lo, hi, c)
-                    np.testing.assert_allclose(part.world_beliefs[t], probs,
-                                               rtol=1e-9, atol=1e-9)
+            for t, obs in enumerate(observations):
+                _, probs = state_posterior_oracle(
+                    list(obs.percepts), moved.v_hat.fa, moved.v_hat.miss,
+                    prior.poisson_lambda, lo, hi, c)
+                np.testing.assert_allclose(moved.world_beliefs[t], probs,
+                                           rtol=1e-10, atol=1e-10)
 
-    def test_beliefs_exact_when_the_multiplicative_refresh_overflows(self, monkeypatch):
-        # ~3000 frames per observation make exp(delta) overflow for many
-        # accepted moves; those rows are recomputed from the history
-        import detcal.inference as inference
-
-        fallback_rows = []
-        real = inference.state_log_joint
-
-        def spy(counts, frame_count, fa, miss, space):
-            if np.ndim(fa) == 3:  # only the overflow fallback passes (n, 1, C) rates
-                fallback_rows.append(fa.shape[0])
-            return real(counts, frame_count, fa, miss, space)
-
-        monkeypatch.setattr(inference, "state_log_joint", spy)
+    def test_beliefs_exact_when_the_multiplicative_refresh_overflows(self):
+        # ~3000 frames per observation: the likelihood ratio of a move is far
+        # beyond exp's range, so a multiplicative rescale of the beliefs would
+        # overflow; rejuvenate() recomputes them from the history
         c = 3
         prior = PriorConfig(count_bounds=(1, c))
         truth = VisualSystem(fa=np.array([0.05, 0.3, 0.1]),
@@ -156,28 +193,29 @@ class TestAssimilation:
             Observation(tuple(render_percept(w, truth, r)
                               for _ in range(int(r.integers(2900, 3100)))))
             for w in (frozenset({0}), frozenset({1, 2}), frozenset({0, 2}))]
-        ens = init_ensemble(small_config(num_particles=6, seed=4,
-                                         rejuvenation_sweeps_per_observation=1),
-                            prior, c)
-        with np.errstate(over="ignore"):
-            for obs in observations:
-                assimilate_observation(ens, obs)
-        assert sum(fallback_rows) > 0
+        history = [DetectionStats.from_observation(o, c) for o in observations]
+        particle = rate_particle(truth.fa, truth.miss)
+        rng = np.random.default_rng(4)
+        moves = 0
+        for _ in range(20):
+            moved = rejuvenate(particle, history, small_config(), prior, rng)
+            moves += not np.array_equal(moved.v_hat.as_flat(), particle.v_hat.as_flat())
+            particle = moved
+        assert moves > 0
         lo, hi = prior.count_bounds
-        for m in range(ens.num_particles):
-            part = ens.particle(m)
-            for t, obs in enumerate(observations):
-                _, probs = state_posterior_oracle(
-                    list(obs.percepts), part.v_hat.fa, part.v_hat.miss,
-                    prior.poisson_lambda, lo, hi, c)
-                np.testing.assert_allclose(part.world_beliefs[t], probs,
-                                           rtol=1e-10, atol=1e-10)
+        for t, obs in enumerate(observations):
+            _, probs = state_posterior_oracle(
+                list(obs.percepts), particle.v_hat.fa, particle.v_hat.miss,
+                prior.poisson_lambda, lo, hi, c)
+            np.testing.assert_allclose(particle.world_beliefs[t], probs,
+                                       rtol=1e-10, atol=1e-10)
 
     def test_noiseless_particles_identify_the_state(self):
         cfg = small_config(num_particles=2)
         ens = init_ensemble(cfg, PRIOR5, 5)
-        ens.fa[:] = 1e-12
-        ens.miss[:] = 1e-12
+        # a billion clean frames behind every rate: reports are near-certain
+        ens.b_fa[:] = 1e9
+        ens.b_miss[:] = 1e9
         w = frozenset({1, 3})
         counts = np.array([0, 4, 0, 4, 0])
         assimilate_observation(ens, DetectionStats(counts=counts, frame_count=4))
@@ -185,11 +223,13 @@ class TestAssimilation:
         idx = ens.space.states.index(w)
         assert belief[idx] == pytest.approx(1.0, abs=1e-9)
         assert online_map_world_state(ens, 0) == w
+        assert [ens.space.states[i] for i in ens.scenes] == [w, w]
 
     def test_identity_transition(self, rng):
-        # assimilation weights and resampling must never move the rates
+        # sampling regime without sweeps: weights and resampling must never
+        # move the rates
         prior, observations = random_instance(rng, 3, n_obs=3)
-        cfg = small_config()
+        cfg = small_config(enumeration_limit=0)
         ens = init_ensemble(cfg, prior, 3)
         before_fa, before_miss = ens.fa.copy(), ens.miss.copy()
         for obs in observations:
@@ -206,20 +246,23 @@ class TestAssimilation:
 
 class TestEstimate:
     def test_degenerate_ensemble_is_exact(self):
+        # every particle's posterior means are 0.25 (fa) and 0.4 (miss)
         ens = init_ensemble(small_config(), PRIOR5, 5)
-        ens.fa[:] = 0.25
-        ens.miss[:] = 0.4
+        ens.a_fa[:], ens.b_fa[:] = 1.0, 3.0
+        ens.a_miss[:], ens.b_miss[:] = 2.0, 3.0
         est = estimate_v(ens)
         assert np.allclose(est.fa, 0.25) and np.allclose(est.miss, 0.4)
         assert ens.estimate_used_weights is False
 
     def test_weighted_mean_sets_flag(self):
         ens = init_ensemble(small_config(num_particles=2), PRIOR5, 5)
+        ens.a_fa[1] = 7.0  # particle 1's fa mean is 7/17, particle 0's 1/6
         ens.log_weights[:] = [0.0, math.log(3.0)]
         est = estimate_v(ens)
         assert ens.estimate_used_weights is True
-        expected = (ens.fa[0] + 3.0 * ens.fa[1]) / 4.0
+        expected = (1.0 / 6.0 + 3.0 * 7.0 / 17.0) / 4.0
         np.testing.assert_allclose(est.fa, expected, rtol=1e-12)
+        np.testing.assert_allclose(est.miss, 1.0 / 6.0, rtol=1e-12)
 
 
 class TestResampling:
@@ -245,6 +288,7 @@ class TestResampling:
         prior, observations = random_instance(rng, 3, n_obs=1)
         cfg = small_config(ess_resample_threshold=1.0)  # always resample
         ens = init_ensemble(cfg, prior, 3)
+        ens.a_fa[0] += 1.0  # particles at equal counts would keep an ESS of M
         assimilate_observation(ens, observations[0])
         assert np.all(ens.log_weights == 0.0)
 
@@ -257,8 +301,9 @@ class TestOnlineMap:
             v = VisualSystem(fa=0.05 + 0.4 * rng.random(c),
                              miss=0.05 + 0.4 * rng.random(c))
             ens = init_ensemble(small_config(seed=300 + trial), prior, c)
-            ens.fa[:] = v.fa
-            ens.miss[:] = v.miss
+            # 1e12 frames' worth of counts at the truth pins the rates there
+            ens.a_fa[:], ens.b_fa[:] = 1e12 * v.fa, 1e12 * (1.0 - v.fa)
+            ens.a_miss[:], ens.b_miss[:] = 1e12 * v.miss, 1e12 * (1.0 - v.miss)
             for obs in observations:
                 assimilate_observation(ens, obs)
             lo, hi = prior.count_bounds
@@ -266,6 +311,31 @@ class TestOnlineMap:
                 expected = map_state_oracle(list(obs.percepts), v.fa, v.miss,
                                             prior.poisson_lambda, lo, hi, c)
                 assert online_map_world_state(ens, t) == expected
+
+    def test_is_the_argmax_of_the_weighted_oracle_mixture(self, rng):
+        # the readout of step t mixes the particles' exact posteriors with
+        # the weights after step t's update
+        checked = 0
+        for trial in range(30):
+            c = int(rng.integers(1, 4))
+            prior, observations = random_instance(rng, c, n_obs=4)
+            ens = init_ensemble(small_config(seed=400 + trial), prior, c)
+            log_weights = []
+            steps = []
+            for obs in observations:
+                steps += assimilate_recorded(ens, [obs])
+                log_weights.append(ens.log_weights.copy())
+            paths = urn_paths(ens, prior, c, observations, steps)
+            states = list(ens.space.states)
+            for t in range(len(observations)):
+                w = np.exp(log_weights[t] - logsumexp(log_weights[t]))
+                mixture = w @ np.array([path[t][0] for path in paths])
+                top = np.sort(mixture)[::-1]
+                if len(top) > 1 and top[0] - top[1] < 1e-9:
+                    continue
+                assert online_map_world_state(ens, t) == states[int(np.argmax(mixture))]
+                checked += 1
+        assert checked >= 100
 
     def test_out_of_range_errors(self):
         ens = init_ensemble(small_config(), PRIOR5, 5)
@@ -348,6 +418,112 @@ class TestLearning:
         assert abs(np.mean(initial) - prior.rate_variance) < 0.004
         assert np.mean(last) < 0.5 * np.mean(first)
         assert np.mean(last) < prior.rate_variance / 3.0
+
+
+class TestParticleLearning:
+    def test_counts_and_weights_bookkept_over_a_long_stream(self):
+        # resampling off, T=1200: each particle's counts are a fresh recount
+        # over the states it drew, and its log weight is the sum of the
+        # predictives recomputed from those counts
+        prior = PriorConfig(count_bounds=(1, 3))
+        c, m = 3, 6
+        run = synthesize_run(prior, c, 1200, np.random.default_rng(5))
+        stats = [DetectionStats.from_observation(o, c) for o in run.observations]
+        ens = init_ensemble(small_config(num_particles=m, seed=5), prior, c)
+        drawn = []
+        for s in stats:
+            assimilate_observation(ens, s)
+            drawn.append(ens.scenes.copy())
+        lo, hi = prior.count_bounds
+        states = enumerate_states_oracle(c, lo, hi)
+        presence = np.array([[j in w for j in range(c)] for w in states], dtype=float)
+        log_prior = np.array([state_log_prior_oracle(w, prior.poisson_lambda, lo, hi, c)
+                              for w in states])
+        k = np.array([s.counts for s in stats], dtype=float)[:, None, :]   # (T, 1, C)
+        rest = np.array([s.frame_count for s in stats], dtype=float)[:, None, None] - k
+        present = presence[np.array(drawn)]                                  # (T, M, C)
+        absent = 1.0 - present
+        a, b = prior.beta_alpha, prior.beta_beta
+        # counts after each step, and before it (shifted by one step)
+        after = {"a_fa": a + np.cumsum(absent * k, axis=0),
+                 "b_fa": b + np.cumsum(absent * rest, axis=0),
+                 "a_miss": a + np.cumsum(present * rest, axis=0),
+                 "b_miss": b + np.cumsum(present * k, axis=0)}
+        for name, total in after.items():
+            assert np.array_equal(getattr(ens, name), total[-1]), name
+        before = {name: np.concatenate([np.full((1, m, c), a if name[0] == "a" else b),
+                                        total[:-1]])[:, :, None, :]
+                  for name, total in after.items()}                          # (T, M, 1, C)
+        kk, rr = k[:, :, None, :], rest[:, :, None, :]
+        pres_term = (betaln(before["a_miss"] + rr, before["b_miss"] + kk)
+                     - betaln(before["a_miss"], before["b_miss"]))
+        abs_term = (betaln(before["a_fa"] + kk, before["b_fa"] + rr)
+                    - betaln(before["a_fa"], before["b_fa"]))
+        joint = (np.where(presence, pres_term, abs_term).sum(axis=-1)
+                 + log_prior)                                                # (T, M, S)
+        expected = logsumexp(joint, axis=-1).sum(axis=0)
+        np.testing.assert_allclose(ens.log_weights, expected, rtol=1e-12, atol=0)
+
+    def test_mixture_of_beta_posteriors_matches_a_grid_posterior(self):
+        # C=1 with scenes of 0 or 1 objects and both rates at 0.3, so the
+        # scene stays uncertain; the particles' Beta posteriors, mixed by
+        # weight, must give each rate's marginal of the exact posterior over
+        # (fa, miss) on a grid. 1000 particles keep the Monte Carlo error of
+        # the mixture (about 0.05 in TV at 100) well below the bound.
+        prior = PriorConfig(count_bounds=(0, 1))
+        truth = VisualSystem(fa=np.array([0.3]), miss=np.array([0.3]))
+        r = np.random.default_rng(0)
+        stats = []
+        for _ in range(300):
+            world = sample_world_state(prior, 1, r)
+            frames = int(r.integers(prior.frames_bounds[0], prior.frames_bounds[1] + 1))
+            obs = Observation(tuple(render_percept(world, truth, r) for _ in range(frames)))
+            stats.append(DetectionStats.from_observation(obs, 1))
+        ens = init_ensemble(ParticleFilterConfig(num_particles=1000, seed=0), prior, 1)
+        for s in stats:
+            assimilate_observation(ens, s)
+
+        grid = (np.arange(400) + 0.5) / 400
+        pmf = truncated_poisson_pmf_oracle(prior.poisson_lambda, 0, 1)
+        fa, miss = grid[:, None], grid[None, :]
+        logp = (beta_log_density(fa, prior.beta_alpha, prior.beta_beta)
+                + beta_log_density(miss, prior.beta_alpha, prior.beta_beta))
+        for s in stats:
+            k, rest = float(s.counts[0]), float(s.frame_count - s.counts[0])
+            logp = logp + np.logaddexp(
+                math.log(pmf[0]) + k * np.log(fa) + rest * np.log1p(-fa),
+                math.log(pmf[1]) + k * np.log1p(-miss) + rest * np.log(miss))
+        joint = np.exp(logp - logp.max())
+        joint /= joint.sum()
+
+        w = ens.weights
+        for marginal, a, b in ((joint.sum(axis=1), ens.a_fa[:, 0], ens.b_fa[:, 0]),
+                               (joint.sum(axis=0), ens.a_miss[:, 0], ens.b_miss[:, 0])):
+            log_beta = ((a[:, None] - 1.0) * np.log(grid) + (b[:, None] - 1.0)
+                        * np.log1p(-grid) - betaln(a, b)[:, None])
+            mixture = w @ np.exp(log_beta)
+            mixture /= mixture.sum()
+            assert 0.5 * np.abs(mixture - marginal).sum() < 0.05
+
+    def test_exact_step_keeps_no_history(self, monkeypatch):
+        import detcal.inference as inference
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact regime must not sweep or refresh a history")
+
+        monkeypatch.setattr(inference, "_rejuvenation_sweep", forbidden)
+        monkeypatch.setattr(inference, "_refresh_posteriors", forbidden)
+        prior = PriorConfig(count_bounds=(1, 3))
+        run = synthesize_run(prior, 3, 37, np.random.default_rng(3))  # T=37: no M, S or C
+        ens = init_ensemble(ParticleFilterConfig(num_particles=10, seed=3), prior, 3)
+        for obs in run.observations:
+            assimilate_observation(ens, obs)
+        assert ens.num_observations == 37
+        for name, value in vars(ens).items():
+            if isinstance(value, np.ndarray):
+                assert 37 not in value.shape, name
+            elif isinstance(value, list):
+                assert not any(isinstance(v, np.ndarray) for v in value), name
 
 
 class TestSamplingRegime:
