@@ -9,7 +9,7 @@ import math
 from itertools import combinations
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import betaln, gammaln, ndtr, ndtri, xlogy
 
 
 def truncated_poisson_pmf_oracle(lam, lo, hi):
@@ -252,3 +252,131 @@ def synthesize_stats_fast(n_obs, num_categories, rng, alpha=2.0, beta=10.0,
     p_detect = np.where(present, 1.0 - miss, fa)
     counts = rng.binomial(frames[:, None], p_detect)
     return present, counts, frames
+
+
+def sampling_filter_reference(observations, num_categories, rng, *, alpha=2.0, beta=10.0,
+                              lam=1.0, lo=1, hi=5, num_particles=100, sigma=0.1,
+                              ess_threshold=0.5, v_true=None):
+    """The sampling particle filter that criteria 1-3's windows were calibrated on.
+
+    ``observations`` is a sequence of (counts (C,), frame count) pairs. Each
+    particle holds point rates drawn from Beta(alpha, beta). Per observation
+    every particle draws a scene from the prior and is weighted by the
+    binomial likelihood of the counts at it; the population is resampled
+    systematically when the effective sample size falls below
+    ``ess_threshold`` times the particle count; then one Metropolis-Hastings
+    sweep visits the 2C rate entries in random order, each moved by a
+    truncated-normal random walk on (0, 1) and accepted against the Beta
+    prior and the likelihood of the whole history at the particle's stored
+    scenes. The estimate is the weighted particle mean, and the scene
+    readout the majority vote over the particles' scenes of that
+    observation (ties go to the larger weight, then to the first scene in
+    bit order).
+
+    Every draw comes from ``rng`` in the order the filter makes it, so a
+    generator seeded as the package seeds its filter reproduces that
+    filter's trace. Returns a dict: ``initial_estimate`` and ``estimates``
+    as (fa, miss) pairs, ``map_states`` as frozensets and, when ``v_true``
+    (fa, miss) is given, ``initial_mse`` and ``mse`` as (combined, fa, miss).
+    """
+    c, m, eps = num_categories, num_particles, 1e-12
+
+    def log_beta_density(x):
+        return xlogy(alpha - 1.0, x) + xlogy(beta - 1.0, 1.0 - x) - betaln(alpha, beta)
+
+    def log_mass_inside(mu):
+        # log of the mass Normal(mu, sigma^2) puts on (0, 1)
+        return np.log(ndtr((1.0 - mu) / sigma) - ndtr((0.0 - mu) / sigma))
+
+    def weights_of(log_w):
+        e = np.exp(log_w - log_w.max())
+        return e / e.sum()
+
+    ns = np.arange(lo, hi + 1, dtype=np.float64)
+    log_d = ns * math.log(lam) - lam - gammaln(ns + 1.0)
+    d = np.exp(log_d - log_d.max())
+    size_cdf = np.cumsum(d / d.sum())
+
+    fa = np.clip(rng.beta(alpha, beta, size=(m, c)), eps, 1.0 - eps)
+    miss = np.clip(rng.beta(alpha, beta, size=(m, c)), eps, 1.0 - eps)
+    log_w = np.zeros(m)
+    scenes = np.zeros((m, 0, c), dtype=bool)
+    counts, frames = [], []
+    out = {"estimates": [], "map_states": []}
+
+    def record(key):
+        w = weights_of(log_w)
+        estimate = (w @ fa, w @ miss)
+        if key == "initial_estimate":
+            out[key] = estimate
+        else:
+            out[key].append(estimate)
+        if v_true is not None:
+            fa_only = float(np.mean((v_true[0] - estimate[0]) ** 2))
+            miss_only = float(np.mean((v_true[1] - estimate[1]) ** 2))
+            mse = (0.5 * (fa_only + miss_only), fa_only, miss_only)
+            if key == "initial_estimate":
+                out["initial_mse"] = mse
+            else:
+                out.setdefault("mse", []).append(mse)
+        return w
+
+    record("initial_estimate")
+    bits = 1 << np.arange(c - 1, -1, -1)  # category 0 most significant
+    for k, f in observations:
+        k = np.asarray(k, dtype=np.float64)
+        counts.append(k)
+        frames.append(float(f))
+        # a prior scene per particle: its size, then the categories ranked
+        # below that size in a uniform random order
+        sizes = lo + np.minimum(np.searchsorted(size_cdf, rng.random(m), side="right"),
+                                hi - lo)
+        order = np.argsort(rng.random((m, c)), axis=1)
+        present = np.argsort(order, axis=1) < sizes[:, None]
+        p_detect = np.where(present, 1.0 - miss, fa)
+        log_w = log_w + (xlogy(k, p_detect) + xlogy(f - k, 1.0 - p_detect)).sum(axis=-1)
+        scenes = np.concatenate([scenes, present[:, None, :]], axis=1)
+
+        w = weights_of(log_w)
+        if 1.0 / np.sum(w * w) < ess_threshold * m:
+            positions = (np.arange(m) + rng.random()) / m
+            cum = np.cumsum(w)
+            cum[-1] = 1.0
+            idx = np.minimum(np.searchsorted(cum, positions, side="left"), m - 1)
+            fa, miss, scenes = fa[idx], miss[idx], scenes[idx]
+            log_w = np.zeros(m)
+
+        kc_all = np.array(counts)
+        rc_all = np.array(frames)[:, None] - kc_all
+        for entry in rng.permutation(2 * c):
+            is_fa, cat = entry < c, int(entry % c)
+            rates = fa if is_fa else miss
+            value = rates[:, cat].copy()
+            # inverse-CDF draw from the walk truncated to (0, 1)
+            low, high = ndtr((0.0 - value) / sigma), ndtr((1.0 - value) / sigma)
+            proposal = value + sigma * ndtri(low + (high - low) * rng.random(m))
+            proposal = np.clip(proposal, eps, 1.0 - eps)
+            v_in = np.clip(value, eps, 1.0 - eps)
+            log_hit = np.log(proposal) - np.log(v_in)
+            log_rej = np.log1p(-proposal) - np.log1p(-v_in)
+            # the entry sets the detection probability of the observations
+            # whose stored scene lacks (fa) or holds (miss) the category
+            kc, rc = kc_all[:, cat], rc_all[:, cat]
+            if is_fa:
+                delta = log_hit[:, None] * kc + log_rej[:, None] * rc
+                touched = ~scenes[:, :, cat]
+            else:
+                delta = log_rej[:, None] * kc + log_hit[:, None] * rc
+                touched = scenes[:, :, cat]
+            d_lik = np.where(touched, delta, 0.0).sum(axis=1)
+            log_alpha = (d_lik + (log_beta_density(proposal) - log_beta_density(value))
+                         + (log_mass_inside(value) - log_mass_inside(proposal)))
+            accept = np.log(rng.random(m)) < log_alpha
+            rates[accept, cat] = proposal[accept]
+
+        w = record("estimates")
+        codes = scenes[:, -1, :].astype(np.int64) @ bits
+        best = max(np.unique(codes), key=lambda code: (
+            int((codes == code).sum()), float(w[codes == code].sum()), -int(code)))
+        out["map_states"].append(frozenset(j for j in range(c) if best & bits[j]))
+    return out

@@ -6,9 +6,10 @@ and run twice, each run shared through a session fixture:
 
 - ``desk`` runs the default filter, which marginalizes scenes exactly; it
   feeds criteria 1-5.
-- ``reference_desk`` runs the sampling regime (``enumeration_limit=0``),
-  the procedure the paper's windows in criteria 1-3 were calibrated on.
-  Its retrospective and fixed-prior rows are exact MAP, as in ``desk``;
+- ``reference_desk`` runs the sampling filter of ``tests/oracles.py``
+  (``sampling_filter_reference``) with the filter's seeds, the procedure
+  the paper's windows in criteria 1-3 were calibrated on. Its
+  retrospective and fixed-prior rows are exact MAP, as in ``desk``;
   criterion 3 also reads its scenes out by sampling
   (``sampled_map_reference``) for the gap and paired checks.
 
@@ -19,6 +20,7 @@ the session; sub-checks of criteria 1-3 name the procedure they measured.
 """
 
 import math
+import multiprocessing
 import subprocess
 import sys
 from dataclasses import dataclass, replace
@@ -29,6 +31,7 @@ import pytest
 
 from conftest import record_criterion
 from detcal.core import DetectionStats, Observation, PriorConfig, VisualSystem
+from detcal.dataset import inference_seed, read_corpus
 from detcal.inference import (
     Particle,
     ParticleFilterConfig,
@@ -45,14 +48,17 @@ from detcal.experiment import (
     MODEL_ONLINE,
     MODEL_RETRO,
     MODEL_THRESHOLD,
+    evaluate_run,
     read_results,
     report_command,
+    result_chunk,
     run_command,
     synth_command,
 )
 from oracles import (
     map_state_oracle,
     sampled_map_reference,
+    sampling_filter_reference,
     state_posterior_oracle,
     truncated_poisson_pmf_oracle,
     urn_path_oracle,
@@ -89,10 +95,8 @@ def desk_corpus(tmp_path_factory) -> Path:
     return corpus
 
 
-def _run_desk(corpus: Path, config: ExperimentConfig, tag: str) -> DeskRun:
-    results = corpus.parent / f"results_{tag}.jsonl"
-    run_command(config, corpus, results)
-    tables = report_command([results], corpus.parent / f"report_{tag}")
+def _read_desk(results: Path, config: ExperimentConfig, tag: str) -> DeskRun:
+    tables = report_command([results], results.parent / f"report_{tag}")
 
     mse_by_t = {}
     for row in _read_csv(tables["mse_by_observation"]):
@@ -119,14 +123,55 @@ def _run_desk(corpus: Path, config: ExperimentConfig, tag: str) -> DeskRun:
 @pytest.fixture(scope="session")
 def desk(desk_corpus) -> DeskRun:
     """The default filter: scenes marginalized exactly."""
-    return _run_desk(desk_corpus, DESK_CONFIG, "exact")
+    results = desk_corpus.parent / "results_exact.jsonl"
+    run_command(DESK_CONFIG, desk_corpus, results)
+    return _read_desk(results, DESK_CONFIG, "exact")
+
+
+def _reference_chunk(task) -> str:
+    """Result record of one corpus run under the reference sampling filter.
+
+    The threshold and fixed-prior rows come from ``evaluate_run``; the
+    online rows from ``sampling_filter_reference`` on the seed the filter
+    would get at this corpus position; the retrospective row is the exact
+    MAP under its final estimate.
+    """
+    index, run = task
+    config = DESK_CONFIG
+    prior = config.prior()
+    c = config.num_categories
+    lo, hi = prior.count_bounds
+    result = evaluate_run(run, replace(config, models=(MODEL_THRESHOLD, MODEL_FIXED_PRIOR)),
+                          index)
+    stats = result.stats()
+    trace = sampling_filter_reference(
+        [(s.counts, s.frame_count) for s in stats], c,
+        np.random.default_rng(inference_seed(config.seed, index)),
+        alpha=prior.beta_alpha, beta=prior.beta_beta, lam=prior.poisson_lambda,
+        lo=lo, hi=hi, num_particles=config.num_particles,
+        ess_threshold=config.ess_resample_threshold,
+        v_true=(run.v_true.fa, run.v_true.miss))
+    v_hat = VisualSystem(*trace["estimates"][-1])
+    baselines = result.maps
+    result.maps = {MODEL_ONLINE: trace["map_states"],
+                   MODEL_RETRO: retrospective_infer(v_hat, stats, prior, c), **baselines}
+    result.v_hat = v_hat.as_flat().tolist()
+    mse = [trace["initial_mse"]] + trace["mse"]
+    result.mse_combined, result.mse_fa, result.mse_miss = (
+        [row[i] for row in mse] for i in range(3))
+    return result_chunk(result, "jsonl")
 
 
 @pytest.fixture(scope="session")
 def reference_desk(desk_corpus) -> DeskRun:
-    """The sampling regime the paper's windows were calibrated on."""
-    return _run_desk(desk_corpus, replace(DESK_CONFIG, enumeration_limit=0),
-                     "reference")
+    """The sampling filter the paper's windows were calibrated on."""
+    results = desk_corpus.parent / "results_reference.jsonl"
+    runs = enumerate(read_corpus(desk_corpus).runs)
+    with multiprocessing.get_context().Pool(DESK_CONFIG.jobs) as pool, \
+            open(results, "w", encoding="utf-8", newline="\n") as fh:
+        for chunk in pool.imap(_reference_chunk, runs, chunksize=4):
+            fh.write(chunk)
+    return _read_desk(results, DESK_CONFIG, "reference")
 
 
 # The sampling regime's online readout votes over one prior scene per
@@ -280,6 +325,43 @@ class TestSampledReadoutOracle:
                                          100, np.random.default_rng(seed)).tobytes()
 
         assert readout(5) == readout(5)
+
+
+class TestSamplingFilterReference:
+    """The reference desk rests on ``sampling_filter_reference`` drawing what
+    the filter's sampling regime draws, in the same order."""
+
+    def test_trace_matches_the_sampling_regime(self):
+        from detcal.dataset import synthesize_run
+        from detcal.inference import run_filter
+
+        cases = [  # (C, prior, filter settings, T)
+            (5, PriorConfig(), dict(enumeration_limit=0), 75),
+            (5, PriorConfig(), dict(enumeration_limit=0), 75),
+            (3, PriorConfig(count_bounds=(0, 3)),
+             dict(enumeration_limit=0, num_particles=20, ess_resample_threshold=0.9), 40),
+            (1, PriorConfig(count_bounds=(0, 1), beta_alpha=0.5, beta_beta=0.8),
+             dict(enumeration_limit=0, num_particles=7), 25),
+            (16, PriorConfig(), {}, 30),  # the default config samples above C=15
+        ]
+        for i, (c, prior, settings, t) in enumerate(cases):
+            run = synthesize_run(prior, c, t, np.random.default_rng(1000 + i))
+            stats = [DetectionStats.from_observation(o, c) for o in run.observations]
+            cfg = ParticleFilterConfig(**settings)
+            got = run_filter(stats, cfg, prior, c, v_true=run.v_true,
+                             rng=np.random.default_rng(i))
+            lo, hi = prior.count_bounds
+            want = sampling_filter_reference(
+                [(s.counts, s.frame_count) for s in stats], c, np.random.default_rng(i),
+                alpha=prior.beta_alpha, beta=prior.beta_beta, lam=prior.poisson_lambda,
+                lo=lo, hi=hi, num_particles=cfg.num_particles,
+                ess_threshold=cfg.ess_resample_threshold,
+                v_true=(run.v_true.fa, run.v_true.miss))
+            assert got.map_states == want["map_states"]
+            assert got.initial_mse == want["initial_mse"] and got.mse == want["mse"]
+            for estimate, (fa, miss) in zip([got.initial_estimate, *got.estimates],
+                                            [want["initial_estimate"], *want["estimates"]]):
+                assert np.array_equal(estimate.fa, fa) and np.array_equal(estimate.miss, miss)
 
 
 # The exact desk at its own values: the exact default's readouts at corpus
