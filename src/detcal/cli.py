@@ -39,10 +39,7 @@ _SETTINGS = {
     "world_states": ("world_states_per_system", int),
     "categories": ("num_categories", int),
     "particles": ("num_particles", int),
-    "proposal_sigma": ("proposal_sigma", float),
-    "sweeps": ("rejuvenation_sweeps", int),
     "ess_threshold": ("ess_resample_threshold", float),
-    "enumeration_limit": ("enumeration_limit", int),
     "frames_min": ("frames_min", int),
     "frames_max": ("frames_max", int),
     "count_min": ("count_min", int),
@@ -113,17 +110,8 @@ def _add_settings(parser: argparse.ArgumentParser) -> None:
                    help="world states per system (default 75)")
     g.add_argument("--categories", type=int, help="number of object categories")
     g.add_argument("--particles", type=int, help="particle count (default 100)")
-    g.add_argument("--proposal-sigma", type=float, dest="proposal_sigma",
-                   help="random-walk proposal scale of the MH sweeps; sampling "
-                        "regime only (default 0.1)")
-    g.add_argument("--sweeps", type=int,
-                   help="MH rejuvenation sweeps per observation; sampling "
-                        "regime only (default 1)")
     g.add_argument("--ess-threshold", type=float, dest="ess_threshold",
                    help="resample when ESS drops below this fraction (default 0.5)")
-    g.add_argument("--enumeration-limit", type=int, dest="enumeration_limit",
-                   help="max categories for particle learning over enumerated "
-                        "scenes; above it the filter samples scenes (default 15)")
     g.add_argument("--frames-min", type=int, dest="frames_min")
     g.add_argument("--frames-max", type=int, dest="frames_max")
     g.add_argument("--count-min", type=int, dest="count_min")

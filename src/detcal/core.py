@@ -273,6 +273,18 @@ def sample_world_state(prior: PriorConfig, num_categories: int,
     return _as_world_state(cats)
 
 
+def count_log_prior(prior: PriorConfig, num_categories: int) -> np.ndarray:
+    """log P(w) of any one state of n objects, for n = lo..min(hi, C).
+
+    That is log d(n) - log C(num_categories, n), with d the truncated
+    Poisson pmf of the object count.
+    """
+    lo, hi = prior.count_bounds
+    d = _truncated_poisson_weights(prior.poisson_lambda, lo, hi)
+    return np.array([math.log(d[n - lo]) - math.log(math.comb(num_categories, n))
+                     for n in range(lo, min(hi, num_categories) + 1)])
+
+
 def world_state_log_prior(world: WorldState, prior: PriorConfig,
                           num_categories: int) -> float:
     """log P(world) = log d(|world|) - log C(num_categories, |world|).
@@ -284,8 +296,7 @@ def world_state_log_prior(world: WorldState, prior: PriorConfig,
     lo, hi = prior.count_bounds
     if n < lo or n > hi or any(c < 0 or c >= num_categories for c in world):
         return -math.inf
-    d = truncated_poisson_pmf(n, prior.poisson_lambda, lo, hi)
-    return math.log(d) - math.log(math.comb(num_categories, n))
+    return float(count_log_prior(prior, num_categories)[n - lo])
 
 
 def enumerate_world_states(num_categories: int, lo: int, hi: int):
@@ -370,23 +381,34 @@ def state_log_joint(counts, frame_count, fa, miss, space: StateSpace) -> np.ndar
     return out + space.log_prior
 
 
-def state_log_predictive(counts, frame_count, a_fa, b_fa, a_miss, b_miss,
-                         space: StateSpace) -> np.ndarray:
-    """log [ p(observation | w, Beta counts) * P(w) ] with the rates integrated out.
+def beta_predictive_terms(counts, frame_count, a_fa, b_fa, a_miss, b_miss):
+    """Per-category log predictives of an observation, rates integrated out.
 
-    The particle-learning counterpart of ``state_log_joint``, with the same
-    broadcasting: each rate is Beta(a, b) instead of a point value. The
-    false-alarm counts (``a_fa`` hits, ``b_fa`` rejections) score absent
-    categories, betaln(a_fa + k, b_fa + F - k) - betaln(a_fa, b_fa); the
-    miss counts (``a_miss`` misses, ``b_miss`` detections) score present
-    ones, betaln(a_miss + F - k, b_miss + k) - betaln(a_miss, b_miss).
-    Positive counts keep every term finite.
+    Returns (present, absent), each (..., C): the log probability of the
+    category's k reports in F frames if it is present or absent, with each
+    rate Beta(a, b) instead of a point value. The false-alarm counts
+    (``a_fa`` hits, ``b_fa`` rejections) score an absent category,
+    betaln(a_fa + k, b_fa + F - k) - betaln(a_fa, b_fa); the miss counts
+    (``a_miss`` misses, ``b_miss`` detections) a present one,
+    betaln(a_miss + F - k, b_miss + k) - betaln(a_miss, b_miss). Positive
+    counts keep every term finite.
     """
     k = np.asarray(counts, dtype=np.float64)
     rest = np.asarray(frame_count, dtype=np.float64)[..., None] - k
     pres_term = betaln(a_miss + rest, b_miss + k) - betaln(a_miss, b_miss)
     abs_term = betaln(a_fa + k, b_fa + rest) - betaln(a_fa, b_fa)
-    return _over_states(pres_term, abs_term, space)
+    return pres_term, abs_term
+
+
+def state_log_predictive(counts, frame_count, a_fa, b_fa, a_miss, b_miss,
+                         space: StateSpace) -> np.ndarray:
+    """log [ p(observation | w, Beta counts) * P(w) ] with the rates integrated out.
+
+    The particle-learning counterpart of ``state_log_joint``, with the same
+    broadcasting, summing ``beta_predictive_terms`` over each state.
+    """
+    return _over_states(*beta_predictive_terms(counts, frame_count, a_fa, b_fa,
+                                               a_miss, b_miss), space)
 
 
 def _over_states(pres_term, abs_term, space: StateSpace) -> np.ndarray:
@@ -418,32 +440,19 @@ def render_percept(world: WorldState, system: VisualSystem,
     return _as_world_state(np.nonzero(detected)[0])
 
 
-def state_log_likelihood(counts, frame_count, fa, miss, presence) -> np.ndarray:
-    """log P(observation | w, fa, miss) at concrete states w.
-
-    ``presence`` (..., C) holds each state as a 0/1 mask. It broadcasts
-    against the rates ``fa`` and ``miss`` (..., C), the counts (..., C)
-    and ``frame_count`` (...), as in ``state_log_joint``, and the result
-    drops the category axis. Present categories are detected with
-    probability 1 - miss, absent ones with fa; 0*log(0) counts as 0, and
-    impossible count patterns under degenerate rates give -inf.
-    """
-    k = np.asarray(counts, dtype=np.float64)
-    rest = np.asarray(frame_count, dtype=np.float64)[..., None] - k
-    p_detect = np.where(presence, 1.0 - miss, fa)
-    return (xlogy(k, p_detect) + xlogy(rest, 1.0 - p_detect)).sum(axis=-1)
-
-
 def observation_log_likelihood(stats: DetectionStats, world: WorldState,
                                system: VisualSystem) -> float:
     """log P(observation | world, system) from the sufficient statistics.
 
     Equals the log of the product over all F percepts of the per-percept
-    probability (see ``state_log_likelihood``).
+    probability: present categories are detected with probability
+    1 - miss, absent ones with fa; 0*log(0) counts as 0, and impossible
+    count patterns under degenerate rates give -inf.
     """
     if stats.num_categories != system.num_categories:
         raise ValueError("stats and system disagree on the number of categories")
     present = np.zeros(system.num_categories, dtype=bool)
     present[sorted(world)] = True
-    return float(state_log_likelihood(stats.counts, stats.frame_count,
-                                      system.fa, system.miss, present))
+    k = stats.counts.astype(np.float64)
+    p_detect = np.where(present, 1.0 - system.miss, system.fa)
+    return float((xlogy(k, p_detect) + xlogy(stats.frame_count - k, 1.0 - p_detect)).sum())

@@ -82,25 +82,32 @@ class Run:
     def from_record(cls, rec: dict, num_categories: int) -> "Run":
         """The run of a corpus record whose header says ``num_categories``.
 
-        Raises ValueError when the record's rates are not 2C long or a world
-        state or percept names a category index outside [0, C).
+        Raises ValueError when the record's rates are not 2C long, it holds
+        no observations, or a world state or percept names anything but an
+        integer category index in [0, C).
         """
+        def categories(indices) -> frozenset:
+            for c in indices:
+                # not isinstance: a JSON true is an int, and would index
+                # every category at once
+                if type(c) is not int or not 0 <= c < num_categories:
+                    raise ValueError(f"category index {c!r} is not an integer "
+                                     f"in 0..{num_categories - 1}")
+            return frozenset(indices)
+
         run = cls(
             run_id=rec["run_id"],
             v_true=VisualSystem.from_flat(rec["v_true"]),
-            world_states=[frozenset(w) for w in rec["world_states"]],
-            observations=[Observation(tuple(frozenset(p) for p in frames))
+            world_states=[categories(w) for w in rec["world_states"]],
+            observations=[Observation(tuple(categories(p) for p in frames))
                           for frames in rec["observations"]],
             seed=rec.get("seed"),
         )
         if run.v_true.num_categories != num_categories:
             raise ValueError(f"v_true holds rates of {run.v_true.num_categories} "
                              f"categories, the corpus has {num_categories}")
-        named = set().union(*run.world_states,
-                            *(p for o in run.observations for p in o.percepts))
-        bad = [c for c in named if not (isinstance(c, int) and 0 <= c < num_categories)]
-        if bad:
-            raise ValueError(f"category index {bad[0]!r} is outside 0..{num_categories - 1}")
+        if not run.observations:
+            raise ValueError("the run holds no observations")
         return run
 
 
@@ -224,7 +231,7 @@ def _parse_header(line: str) -> Corpus:
         raise CorpusFormatError(f"line 1: corpus header lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CorpusFormatError(f"line 1: bad corpus header ({exc})") from exc
-    if not isinstance(num_categories, int) or num_categories < 1:
+    if type(num_categories) is not int or num_categories < 1:
         raise CorpusFormatError(
             f"line 1: num_categories must be a positive integer, got {num_categories!r}")
     return Corpus(prior=prior, num_categories=num_categories, runs=None,
@@ -310,7 +317,7 @@ def ingest_percept_groups(path, vocabulary) -> list:
                 labels = rec["labels"]
             except KeyError as exc:
                 raise PerceptFormatError(f"line {lineno}: missing field {exc}") from exc
-            if not isinstance(obs_id, str) or not isinstance(frame_index, int) \
+            if not isinstance(obs_id, str) or type(frame_index) is not int \
                     or not isinstance(labels, list):
                 raise PerceptFormatError(f"line {lineno}: wrong field types")
             detected = set()

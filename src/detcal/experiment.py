@@ -94,10 +94,7 @@ class ExperimentConfig:
     num_systems: int = 1000
     world_states_per_system: int = 75
     num_particles: int = ParticleFilterConfig.num_particles
-    proposal_sigma: float = ParticleFilterConfig.proposal_sigma
-    rejuvenation_sweeps: int = ParticleFilterConfig.rejuvenation_sweeps_per_observation
     ess_resample_threshold: float = ParticleFilterConfig.ess_resample_threshold
-    enumeration_limit: int = ParticleFilterConfig.enumeration_limit
     seed: int = 0
     models: tuple = ALL_MODELS
     format: str = "jsonl"
@@ -148,10 +145,7 @@ class ExperimentConfig:
     def filter_config(self) -> ParticleFilterConfig:
         return ParticleFilterConfig(
             num_particles=self.num_particles,
-            proposal_sigma=self.proposal_sigma,
-            rejuvenation_sweeps_per_observation=self.rejuvenation_sweeps,
             ess_resample_threshold=self.ess_resample_threshold,
-            enumeration_limit=self.enumeration_limit,
             seed=self.seed)
 
     def echo(self) -> dict:
@@ -242,6 +236,9 @@ class RunResult:
 
     @classmethod
     def from_record(cls, rec: dict) -> "RunResult":
+        """The result a record holds; ValueError if it holds no observations."""
+        if not rec["world_states"]:
+            raise ValueError("the result holds no observations")
         return cls(
             run_id=rec["run_id"],
             num_categories=rec["num_categories"],

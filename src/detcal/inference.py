@@ -1,24 +1,27 @@
 """Sequential Monte Carlo joint inference over error rates and world states.
 
-Up to ``enumeration_limit`` categories the filter is particle learning
-(Storvik 2002; Carvalho, Johannes, Lopes & Polson 2010). Each particle
-carries the conjugate Beta counts of its 2C rates, so the rates are
-integrated out, and every valid world state is enumerated. Per
-observation a particle is weighted by the exact one-step predictive
-summed over the states; the online MAP is read from the weighted mixture
-of the particles' state posteriors; the population is resampled
-systematically when the effective sample size drops; and each particle
-draws its state exactly from its own posterior and adds that state's
-detection counts to its Beta counts. A step costs O(M*S*C) and keeps no
-observation history.
+The filter is particle learning (Storvik 2002; Carvalho, Johannes, Lopes &
+Polson 2010). Each particle carries the conjugate Beta counts of its 2C
+rates, so the rates are integrated out. Per observation a particle is
+weighted by the exact one-step predictive, summed over every valid world
+state; the online MAP is read from the weighted mixture of the particles'
+state posteriors; the population is resampled systematically when the
+effective sample size drops; and each particle draws its state exactly
+from its own posterior and adds that state's detection counts to its Beta
+counts. No observation history is kept.
 
-Beyond ``enumeration_limit`` categories the filter falls back to sampling:
-each particle carries point rates, states are drawn from the prior, and
-Metropolis-Hastings rejuvenation sweeps perturb each rate entry with a
-truncated-normal random walk against the full observation history.
-``rejuvenate`` runs the same sweep on a single particle. Internally the
-population is stored as struct-of-arrays; ``ParticleEnsemble.particle``
-materializes a per-particle view for inspection.
+Only the sum over states differs with the category count. Up to
+ENUMERATION_LIMIT categories every state is enumerated, at O(M*S*C) per
+step. Above it the predictive, given a particle's counts, factors over
+categories into odds o_j = L1_j / L0_j, so the states are summed out with
+elementary symmetric polynomials e_n(o) (Chen, Dempster & Liu 1994) at
+O(M*C*hi) per step; the online MAP is then the best of the particles' own
+MAP states under the mixture.
+
+``rejuvenate`` runs one Metropolis-Hastings sweep over a single particle's
+point rates against its full observation history, with the states summed
+out by enumeration. ``ParticleEnsemble.particle`` materializes a
+per-particle view for inspection.
 """
 
 from __future__ import annotations
@@ -38,33 +41,33 @@ from .core import (
     VisualSystem,
     WorldState,
     beta_log_density,
-    beta_sample,
+    beta_predictive_terms,
+    count_log_prior,
     state_log_joint,
-    state_log_likelihood,
     state_log_predictive,
     truncated_normal_log_normalizer,
     truncated_normal_sample,
-    truncated_poisson_sample,
 )
 
 logger = logging.getLogger(__name__)
 
 _INTERIOR_EPS = 1e-12
 
+# Most categories whose states the filter enumerates; above it they are
+# summed out with elementary symmetric polynomials.
+ENUMERATION_LIMIT = 15
+
 
 @dataclass(frozen=True)
 class ParticleFilterConfig:
     """Knobs of the filter; defaults match the reference experiment setup.
 
-    ``proposal_sigma`` and ``rejuvenation_sweeps_per_observation`` act only
-    in the sampling regime (and ``proposal_sigma`` in ``rejuvenate``).
+    ``proposal_sigma`` is the random-walk scale of ``rejuvenate``.
     """
 
     num_particles: int = 100
     proposal_sigma: float = 0.1
-    rejuvenation_sweeps_per_observation: int = 1
     ess_resample_threshold: float = 0.5
-    enumeration_limit: int = 15
     seed: int | None = None
 
     def __post_init__(self):
@@ -72,22 +75,17 @@ class ParticleFilterConfig:
             raise ValueError("num_particles must be >= 2")
         if self.proposal_sigma <= 0:
             raise ValueError("proposal_sigma must be positive")
-        # 0 sweeps turns rejuvenation off; useful for weight-only diagnostics.
-        if self.rejuvenation_sweeps_per_observation < 0:
-            raise ValueError("rejuvenation_sweeps_per_observation must be >= 0")
         if not (0.0 < self.ess_resample_threshold <= 1.0):
             raise ValueError("ess_resample_threshold must be in (0, 1]")
-        if self.enumeration_limit < 0:
-            raise ValueError("enumeration_limit must be >= 0")
 
 
 @dataclass
 class Particle:
     """Read-only view of one hypothesis: rates, state beliefs, weight.
 
-    Exact regime: posterior-mean rates and the latest observation's state
-    posterior. Sampling regime: point rates and a sampled state per
-    observation.
+    The filter's particles hold posterior-mean rates and, up to
+    ENUMERATION_LIMIT categories, the latest observation's state posterior.
+    ``rejuvenate`` returns one state posterior per observation.
     """
 
     v_hat: MetaEstimate
@@ -120,6 +118,13 @@ def _softmax_rows(ll: np.ndarray) -> np.ndarray:
     return np.where(total > 0.0, e / np.where(total > 0.0, total, 1.0), uniform)
 
 
+def _inverse_cdf(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index per row of ``probs``; an entry of zero mass is never drawn."""
+    cum = np.cumsum(probs, axis=1)
+    u = rng.random(probs.shape[0]) * cum[:, -1]
+    return np.sum(cum <= u[:, None], axis=1)
+
+
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Ancestor indices from one stratified uniform sweep over the CDF."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -131,14 +136,13 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 
 
 class ParticleEnsemble:
-    """Particle population; what a particle carries depends on the regime.
+    """Particle population, stored as struct-of-arrays.
 
-    Exact regime: Beta counts ``a_fa`` (hits), ``b_fa`` (rejections),
-    ``a_miss`` (misses) and ``b_miss`` (detections), all (M, C); the latest
-    observation's state posteriors ``beliefs`` (M, S); and the states drawn
-    from them, ``scenes`` (M,), indexing ``space.states``. Sampling regime:
-    point rates ``fa`` and ``miss`` (M, C), the observation history and a
-    sampled state per particle and observation.
+    Per particle: Beta counts ``a_fa`` (hits), ``b_fa`` (rejections),
+    ``a_miss`` (misses) and ``b_miss`` (detections), all (M, C); the states
+    last drawn, ``scenes`` (M, C) presence masks; and, while the states are
+    enumerated (``space`` is not None), the latest observation's state
+    posteriors ``beliefs`` (M, S) over ``space.states``.
     """
 
     def __init__(self, config: ParticleFilterConfig, prior: PriorConfig,
@@ -153,30 +157,21 @@ class ParticleEnsemble:
         self.prior = prior
         self.num_categories = num_categories
         self.rng = rng
-        self.enumerated = num_categories <= config.enumeration_limit
-        self.space = StateSpace.build(prior, num_categories) if self.enumerated else None
+        self.space = (StateSpace.build(prior, num_categories)
+                      if num_categories <= ENUMERATION_LIMIT else None)
 
         m = config.num_particles
         self.log_weights = np.zeros(m)
         self.estimate_used_weights = False
         self.num_observations = 0
         shape = (m, num_categories)
-        if self.enumerated:
-            self.a_fa = np.full(shape, float(prior.beta_alpha))
-            self.b_fa = np.full(shape, float(prior.beta_beta))
-            self.a_miss = np.full(shape, float(prior.beta_alpha))
-            self.b_miss = np.full(shape, float(prior.beta_beta))
-            self.beliefs = None
-            self.scenes = None
-            self._maps: list = []   # online MAP state per observation
-        else:
-            self.fa = np.clip(beta_sample(prior.beta_alpha, prior.beta_beta, rng, size=shape),
-                              _INTERIOR_EPS, 1.0 - _INTERIOR_EPS)
-            self.miss = np.clip(beta_sample(prior.beta_alpha, prior.beta_beta, rng, size=shape),
-                                _INTERIOR_EPS, 1.0 - _INTERIOR_EPS)
-            self._counts: list = []   # (C,) int per observation
-            self._frames: list = []
-            self._world_samples = np.zeros((m, 0, num_categories), dtype=bool)
+        self.a_fa = np.full(shape, float(prior.beta_alpha))
+        self.b_fa = np.full(shape, float(prior.beta_beta))
+        self.a_miss = np.full(shape, float(prior.beta_alpha))
+        self.b_miss = np.full(shape, float(prior.beta_beta))
+        self.beliefs = None
+        self.scenes = None
+        self._maps: list = []   # online MAP state per observation
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -185,11 +180,9 @@ class ParticleEnsemble:
         return self.log_weights.shape[0]
 
     def rates(self):
-        """Per-particle (fa, miss), (M, C) each; posterior means in the exact regime."""
-        if self.enumerated:
-            return (self.a_fa / (self.a_fa + self.b_fa),
-                    self.a_miss / (self.a_miss + self.b_miss))
-        return self.fa, self.miss
+        """Per-particle posterior-mean (fa, miss), (M, C) each."""
+        return (self.a_fa / (self.a_fa + self.b_fa),
+                self.a_miss / (self.a_miss + self.b_miss))
 
     @property
     def weights(self) -> np.ndarray:
@@ -204,52 +197,106 @@ class ParticleEnsemble:
     def particle(self, m: int) -> Particle:
         """Materialize particle m (copies; edits do not write back)."""
         fa, miss = self.rates()
-        v_hat = VisualSystem(fa=fa[m].copy(), miss=miss[m].copy())
-        if self.enumerated:
-            beliefs = [] if self.beliefs is None else [self.beliefs[m].copy()]
-        else:
-            beliefs = [frozenset(np.nonzero(self._world_samples[m, t])[0].tolist())
-                       for t in range(self.num_observations)]
-        return Particle(v_hat=v_hat, world_beliefs=beliefs,
-                        log_weight=float(self.log_weights[m]))
+        beliefs = [] if self.beliefs is None else [self.beliefs[m].copy()]
+        return Particle(v_hat=VisualSystem(fa=fa[m].copy(), miss=miss[m].copy()),
+                        world_beliefs=beliefs, log_weight=float(self.log_weights[m]))
 
     def _reorder(self, idx: np.ndarray):
-        if self.enumerated:
-            self.a_fa, self.b_fa = self.a_fa[idx], self.b_fa[idx]
-            self.a_miss, self.b_miss = self.a_miss[idx], self.b_miss[idx]
+        self.a_fa, self.b_fa = self.a_fa[idx], self.b_fa[idx]
+        self.a_miss, self.b_miss = self.a_miss[idx], self.b_miss[idx]
+        if self.beliefs is not None:
             self.beliefs = self.beliefs[idx]
-        else:
-            self.fa = self.fa[idx].copy()
-            self.miss = self.miss[idx].copy()
-            self._world_samples = self._world_samples[idx].copy()
         self.log_weights = np.zeros(self.num_particles)
 
 
 def init_ensemble(config: ParticleFilterConfig, prior: PriorConfig,
                   num_categories: int,
                   rng: np.random.Generator | None = None) -> ParticleEnsemble:
-    """Fresh ensemble at the Beta prior (counts, or drawn rates), uniform weights."""
+    """Fresh ensemble at the Beta prior's counts, uniform weights."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     return ParticleEnsemble(config, prior, num_categories, rng)
 
 
 # ---------------------------------------------------------------------------
-# Sampling regime
+# States summed out by elementary symmetric polynomials
 # ---------------------------------------------------------------------------
 
-def _sample_prior_worlds(prior: PriorConfig, num_categories: int, m: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """(m, C) presence masks drawn from the world-state prior."""
-    lo, hi = prior.count_bounds
-    ns = truncated_poisson_sample(prior.poisson_lambda, lo, hi, rng, size=m)
-    order = np.argsort(rng.random((m, num_categories)), axis=1)
-    presence = np.zeros((m, num_categories), dtype=bool)
-    rows = np.arange(m)
-    for j in range(int(ns.max())):
-        sel = ns > j
-        presence[rows[sel], order[sel, j]] = True
-    return presence
+class SceneSums:
+    """Each particle's state posterior, summed over states without enumerating.
+
+    Given a particle's Beta counts the predictive of a state w is
+    prod_{j in w} L1_j * prod_{j not in w} L0_j * d(n) / C(C, n), with n = |w|
+    and d the object-count prior. With odds o_j = L1_j / L0_j it is
+    prod_j L0_j * d(n) / C(C, n) * prod_{j in w} o_j, so the predictive sums to
+    prod_j L0_j * sum_n d(n) / C(C, n) * e_n(o), where e_n is the n-th
+    elementary symmetric polynomial of the odds (a conditional-Bernoulli
+    model; Chen, Dempster & Liu 1994). ``table[:, j, n]`` holds log e_n of
+    the first j odds, from the recursion
+    E[j, n] = logaddexp(E[j-1, n], log o_j + E[j-1, n-1]).
+    """
+
+    def __init__(self, pres_term, abs_term, prior: PriorConfig):
+        m, c = pres_term.shape
+        self.lo, self.hi = prior.count_bounds
+        self.log_odds = pres_term - abs_term
+        self.log_size = count_log_prior(prior, c)     # (hi - lo + 1,)
+        table = np.full((m, c + 1, self.hi + 1), -np.inf)
+        table[:, :, 0] = 0.0
+        for j in range(1, c + 1):
+            table[:, j, 1:] = np.logaddexp(table[:, j - 1, 1:],
+                                           self.log_odds[:, j - 1, None] + table[:, j - 1, :-1])
+        self.table = table
+        # log [d(n) / C(C, n) * e_n(o)] per particle and object count n
+        self.log_by_size = self.log_size + table[:, c, self.lo:]
+        self.log_norm = logsumexp(self.log_by_size, axis=1)
+        self.log_evidence = abs_term.sum(axis=1) + self.log_norm
+
+    def reorder(self, idx: np.ndarray) -> None:
+        """Follow a resample: row m now holds ancestor idx[m]'s sums."""
+        for name in ("log_odds", "table", "log_by_size", "log_norm", "log_evidence"):
+            setattr(self, name, getattr(self, name)[idx])
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """(M, C) presence masks, one exact posterior draw per particle.
+
+        Draws the object count n, then walks the categories backward: with r
+        objects left among the first j categories, category j is present
+        with probability o_j * e_{r-1}(o_1..o_{j-1}) / e_r(o_1..o_j).
+        """
+        m, c = self.log_odds.shape
+        left = self.lo + _inverse_cdf(_softmax_rows(self.log_by_size), rng)
+        u = rng.random((m, c))
+        rows = np.arange(m)
+        present = np.zeros((m, c), dtype=bool)
+        for j in range(c, 0, -1):
+            r = np.maximum(left, 1)
+            p_take = np.exp(self.log_odds[:, j - 1] + self.table[rows, j - 1, r - 1]
+                            - self.table[rows, j, r])
+            take = (left > 0) & (u[:, j - 1] < p_take)
+            present[:, j - 1] = take
+            left = left - take
+        return present
+
+    def map_states(self) -> np.ndarray:
+        """(M, C) presence masks of each particle's most probable state.
+
+        For each count n the best state holds the n largest odds; among
+        equal odds the later category wins, and among equal scores the
+        smaller count, so ties go to the first state in bit order.
+        """
+        m, c = self.log_odds.shape
+        order = c - 1 - np.argsort(-self.log_odds[:, ::-1], axis=1, kind="stable")
+        top = np.take_along_axis(self.log_odds, order, axis=1)
+        prefix = np.concatenate([np.zeros((m, 1)), np.cumsum(top, axis=1)], axis=1)
+        n = self.lo + np.argmax(self.log_size + prefix[:, self.lo:self.hi + 1], axis=1)
+        return np.argsort(order, axis=1) < n[:, None]
+
+    def log_posterior(self, present: np.ndarray) -> np.ndarray:
+        """(K, M) log posterior of each of K states (presence masks) per particle."""
+        n = present.sum(axis=1)
+        return (present @ self.log_odds.T + self.log_size[n - self.lo][:, None]
+                - self.log_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +317,20 @@ def _refresh_posteriors(post, q_present, space: StateSpace, idx, fa, miss,
     q_present[idx] = post[idx] @ space.presence
 
 
-def _rejuvenation_sweep(fa, miss, post, world_samples, counts, frames,
-                        space: StateSpace | None, prior: PriorConfig,
-                        sigma: float, rng: np.random.Generator) -> None:
+def _rejuvenation_sweep(fa, miss, post, counts, frames, space: StateSpace,
+                        prior: PriorConfig, sigma: float,
+                        rng: np.random.Generator) -> None:
     """One randomized Metropolis-Hastings pass over all 2C rate entries.
 
     Operates on the arrays in place, vectorized across particles. Per
     observation the entry's likelihood ratio is log(q * exp(delta) + 1 - q),
-    where q is the mass on the states the entry touches. With an enumerated
-    ``space`` (``rejuvenate`` only) q comes from the conditionals ``post``,
-    so the target is the full-history marginal (states summed out), and
-    accepted moves recompute ``post``. In the sampling regime (``space`` is
-    None) q is each particle's stored 0/1 presence, where the ratio is
-    exactly delta on the touched observations and 0 elsewhere: the
-    likelihood conditions on the stored states.
+    where q is the mass the conditionals ``post`` put on the states the
+    entry touches, so the target is the full-history marginal (states
+    summed out); accepted moves recompute ``post``.
     """
     m, c = fa.shape
     a, b = prior.beta_alpha, prior.beta_beta
-    if space is None:
-        q_present = world_samples.astype(np.float64)
-    else:
-        q_present = post @ space.presence  # (M, T, C)
+    q_present = post @ space.presence  # (M, T, C)
 
     for entry in rng.permutation(2 * c):
         is_fa = entry < c
@@ -337,8 +377,7 @@ def _rejuvenation_sweep(fa, miss, post, world_samples, counts, frames,
             fa[idx, cat] = proposal[idx]
         else:
             miss[idx, cat] = proposal[idx]
-        if space is not None:
-            _refresh_posteriors(post, q_present, space, idx, fa, miss, counts, frames)
+        _refresh_posteriors(post, q_present, space, idx, fa, miss, counts, frames)
 
 
 def rejuvenate(particle: Particle, history, config: ParticleFilterConfig,
@@ -351,31 +390,16 @@ def rejuvenate(particle: Particle, history, config: ParticleFilterConfig,
     history = list(history)
     if not history:
         raise ValueError("rejuvenation needs a nonempty observation history")
-    num_categories = particle.v_hat.num_categories
+    space = StateSpace.build(prior, particle.v_hat.num_categories)
     fa = particle.v_hat.fa[None, :].copy()
     miss = particle.v_hat.miss[None, :].copy()
     counts = np.array([s.counts for s in history], dtype=np.float64)
     frames = np.array([s.frame_count for s in history], dtype=np.float64)
-
-    if num_categories <= config.enumeration_limit:
-        space = StateSpace.build(prior, num_categories)
-        post = _history_posteriors(fa, miss, counts, frames, space)
-        world_samples = None
-    else:
-        space = post = None
-        world_samples = np.zeros((1, len(history), num_categories), dtype=bool)
-        for t, belief in enumerate(particle.world_beliefs):
-            world_samples[0, t, sorted(belief)] = True
-
-    _rejuvenation_sweep(fa, miss, post, world_samples, counts, frames,
-                        space, prior, config.proposal_sigma, rng)
-
-    v_hat = VisualSystem(fa=fa[0], miss=miss[0])
-    if space is not None:
-        beliefs = [post[0, t].copy() for t in range(len(history))]
-    else:
-        beliefs = list(particle.world_beliefs)
-    return Particle(v_hat=v_hat, world_beliefs=beliefs,
+    post = _history_posteriors(fa, miss, counts, frames, space)
+    _rejuvenation_sweep(fa, miss, post, counts, frames, space, prior,
+                        config.proposal_sigma, rng)
+    return Particle(v_hat=VisualSystem(fa=fa[0], miss=miss[0]),
+                    world_beliefs=[post[0, t].copy() for t in range(len(history))],
                     log_weight=particle.log_weight)
 
 
@@ -385,83 +409,70 @@ def rejuvenate(particle: Particle, history, config: ParticleFilterConfig,
 
 def assimilate_observation(ensemble: ParticleEnsemble,
                            observation: Observation | DetectionStats) -> ParticleEnsemble:
-    """Absorb one observation: weight, maybe resample, then move the particles.
+    """Absorb one observation: weight, read out, maybe resample, then draw.
 
-    Exact regime (particle learning): each particle's weight is multiplied
-    by the exact one-step predictive summed over all valid world states, the
-    online MAP is read from the weighted mixture of the particles' state
-    posteriors, and after resampling each particle draws its state from its
-    own posterior and adds that state's counts. Sampling regime: a state is
-    drawn from the prior, the weight uses the likelihood at it, and MH
-    sweeps move the rates against the full history.
+    Each particle's weight is multiplied by its exact one-step predictive
+    summed over all valid world states, the online MAP is read from the
+    weighted mixture of the particles' state posteriors, and after
+    resampling each particle draws its state from its own posterior and
+    adds that state's counts.
     """
     stats = DetectionStats.from_observation(observation, ensemble.num_categories)
     if stats.num_categories != ensemble.num_categories:
         raise ValueError("observation does not match the ensemble's category count")
     ensemble.num_observations += 1
-    if ensemble.enumerated:
-        _learning_step(ensemble, stats)
-    else:
-        _sampling_step(ensemble, stats)
+    _learning_step(ensemble, stats)
     return ensemble
 
 
-def _resample_if_degenerate(ensemble: ParticleEnsemble) -> None:
-    threshold = ensemble.config.ess_resample_threshold * ensemble.num_particles
-    if ensemble.effective_sample_size < threshold:
-        ensemble._reorder(systematic_resample(ensemble.weights, ensemble.rng))
-
-
 def _learning_step(ens: ParticleEnsemble, stats: DetectionStats) -> None:
-    """The exact regime's step: particle learning over the enumerated states."""
+    """Weight, read out, maybe resample, then draw each particle's state."""
     counts = stats.counts.astype(np.float64)
     rest = stats.frame_count - counts
-    space = ens.space
-    ll = state_log_predictive(counts, stats.frame_count, ens.a_fa, ens.b_fa,
-                              ens.a_miss, ens.b_miss, space)
-    ens.log_weights += logsumexp(ll, axis=1)
-    ens.beliefs = _softmax_rows(ll)
-    ens._maps.append(space.states[int(np.argmax(ens.weights @ ens.beliefs))])
-    _resample_if_degenerate(ens)
-
-    # inverse-CDF draw; a state of zero posterior mass is never drawn
-    cum = np.cumsum(ens.beliefs, axis=1)
-    u = ens.rng.random(ens.num_particles) * cum[:, -1]
-    ens.scenes = np.sum(cum <= u[:, None], axis=1)
-    present = space.presence[ens.scenes]
-    absent = space.absence[ens.scenes]
+    if ens.space is not None:
+        space = ens.space
+        ll = state_log_predictive(counts, stats.frame_count, ens.a_fa, ens.b_fa,
+                                  ens.a_miss, ens.b_miss, space)
+        ens.log_weights += logsumexp(ll, axis=1)
+        ens.beliefs = _softmax_rows(ll)
+        ens._maps.append(space.states[int(np.argmax(ens.weights @ ens.beliefs))])
+        _resample_if_degenerate(ens)
+        present = space.presence[_inverse_cdf(ens.beliefs, ens.rng)] > 0.0
+    else:
+        sums = SceneSums(*beta_predictive_terms(counts, stats.frame_count, ens.a_fa,
+                                                ens.b_fa, ens.a_miss, ens.b_miss), ens.prior)
+        ens.log_weights += sums.log_evidence
+        # the mixture's best among the particles' own MAP states, in bit order
+        candidates = np.unique(sums.map_states(), axis=0)
+        mixture = np.exp(sums.log_posterior(candidates)) @ ens.weights
+        best = candidates[int(np.argmax(mixture))]
+        ens._maps.append(frozenset(np.flatnonzero(best).tolist()))
+        idx = _resample_if_degenerate(ens)
+        if idx is not None:
+            sums.reorder(idx)
+        present = sums.draw(ens.rng)
+    ens.scenes = present
+    absent = ~present
     ens.a_fa += absent * counts
     ens.b_fa += absent * rest
     ens.a_miss += present * rest
     ens.b_miss += present * counts
 
 
-def _sampling_step(ens: ParticleEnsemble, stats: DetectionStats) -> None:
-    """The sampling regime's step: prior states, weights at them, MH sweeps."""
-    counts = stats.counts.astype(np.float64)
-    frames = float(stats.frame_count)
-    presence = _sample_prior_worlds(ens.prior, ens.num_categories,
-                                    ens.num_particles, ens.rng)
-    ens.log_weights += state_log_likelihood(counts, frames, ens.fa, ens.miss, presence)
-    ens._world_samples = np.concatenate(
-        [ens._world_samples, presence[:, None, :]], axis=1)
-    ens._counts.append(stats.counts.copy())
-    ens._frames.append(stats.frame_count)
-    _resample_if_degenerate(ens)
-
-    cfg = ens.config
-    count_mat = np.array(ens._counts, dtype=np.float64)
-    frame_vec = np.array(ens._frames, dtype=np.float64)
-    for _ in range(cfg.rejuvenation_sweeps_per_observation):
-        _rejuvenation_sweep(ens.fa, ens.miss, None, ens._world_samples, count_mat,
-                            frame_vec, None, ens.prior, cfg.proposal_sigma, ens.rng)
+def _resample_if_degenerate(ensemble: ParticleEnsemble) -> np.ndarray | None:
+    """Resample when the ESS is low; returns the ancestor indices, if any."""
+    threshold = ensemble.config.ess_resample_threshold * ensemble.num_particles
+    if ensemble.effective_sample_size >= threshold:
+        return None
+    idx = systematic_resample(ensemble.weights, ensemble.rng)
+    ensemble._reorder(idx)
+    return idx
 
 
 def estimate_v(ensemble: ParticleEnsemble) -> MetaEstimate:
     """Weight-averaged rate estimate; flags when weights were non-uniform.
 
-    Averages the particles' rates: their point rates in the sampling regime,
-    the posterior means of their Beta counts in the exact regime. After a
+    Averages the posterior means of the particles' Beta counts. After a
     resample the weights are uniform and this is the plain particle mean.
     If called between resamples the weighted mean is used instead and
     ``ensemble.estimate_used_weights`` is set.
@@ -479,32 +490,16 @@ def estimate_v(ensemble: ParticleEnsemble) -> MetaEstimate:
 
 
 def online_map_world_state(ensemble: ParticleEnsemble, t: int) -> WorldState:
-    """Point estimate of world state t.
+    """Point estimate of world state t, read when observation t was assimilated.
 
-    Exact regime: the argmax of the weight-averaged state posteriors read
-    when observation t was assimilated, before resampling (first state in
-    tie-break order wins). Sampling regime: majority vote over the current
-    particles' stored states, ties broken by weighted posterior mass, then
-    by the bit-vector order.
+    It is the argmax of the weight-averaged state posteriors before
+    resampling: over every state while the states are enumerated, over the
+    particles' own MAP states above ENUMERATION_LIMIT categories. Ties go
+    to the first state in bit order.
     """
     if not 0 <= t < ensemble.num_observations:
         raise IndexError(f"observation {t} not assimilated yet")
-    if ensemble.enumerated:
-        return ensemble._maps[t]
-    w = ensemble.weights
-
-    presence = ensemble._world_samples[:, t, :]
-    c = ensemble.num_categories
-    bit_weights = 1 << np.arange(c - 1, -1, -1)  # category 0 most significant
-    codes = presence.astype(np.int64) @ bit_weights
-    best = None
-    for code in np.unique(codes):
-        sel = codes == code
-        key = (int(sel.sum()), float(w[sel].sum()), -int(code))
-        if best is None or key > best[0]:
-            best = (key, code)
-    chosen = int(best[1])
-    return frozenset(c - 1 - i for i in range(c) if (chosen >> i) & 1)
+    return ensemble._maps[t]
 
 
 def run_filter(observations, config: ParticleFilterConfig, prior: PriorConfig,

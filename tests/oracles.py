@@ -178,7 +178,7 @@ def sampled_map_reference(counts, frames, fa, miss, lam, lo, hi,
                           num_categories, num_samples, rng):
     """Sampling readout of the scene, one per observation.
 
-    The readout of the filter's sampling regime with the rates pinned: for
+    The readout of ``sampling_filter_reference`` with the rates pinned: for
     each observation draw ``num_samples`` scenes from the prior, weight each
     by the binomial likelihood of the per-category detection counts under
     the given rates, resample systematically and return the scene drawn

@@ -52,6 +52,18 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path / "c.jsonl"),
                      "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, key", [("--enumeration-limit", "enumeration_limit"),
+                                           ("--sweeps", "sweeps"),
+                                           ("--proposal-sigma", "proposal_sigma")])
+    def test_removed_filter_settings_exit_2(self, tmp_path, flag, key):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "c.jsonl"), flag, "1"])
+        assert exc.value.code == EXIT_CONFIG
+        cfg = tmp_path / "exp.conf"
+        cfg.write_text(f"{key}=1\n")
+        assert main(["synth", "--out", str(tmp_path / "c.jsonl"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+
 
 class TestRun:
     def test_missing_corpus_exit_3(self, tmp_path):
@@ -95,8 +107,10 @@ class TestRun:
         no_field = {**header, "prior": {k: v for k, v in header["prior"].items()
                                         if k != "beta_beta"}}
         not_a_count = {**header, "num_categories": "5"}
+        a_boolean = {**header, "num_categories": True}
         for bad, key in ((no_prior, "prior"), (no_count, "num_categories"),
-                         (no_field, "beta_beta"), (not_a_count, "num_categories")):
+                         (no_field, "beta_beta"), (not_a_count, "num_categories"),
+                         (a_boolean, "num_categories")):
             corpus.write_text("\n".join([json.dumps(bad)] + lines[1:]) + "\n")
             caplog.clear()
             assert main(["run", str(corpus), "--out", str(tmp_path / "r.jsonl"),
@@ -116,6 +130,39 @@ class TestRun:
         assert main(["run", str(corpus), "--out", str(out), "--particles", "15"]) \
             == EXIT_INPUT
         assert "position 0" in caplog.text and "9" in caplog.text
+        ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
+        assert ids == ["run-00001"]
+
+    def test_run_record_with_a_boolean_category_index_skipped(self, tmp_path, caplog):
+        # a JSON true would index every category and add a detection to each
+        corpus = tmp_path / "c.jsonl"
+        assert main(["synth", "--out", str(corpus), "--systems", "2",
+                     "--world-states", "4", "--seed", "5"]) == EXIT_OK
+        lines = corpus.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["observations"][0][0] = [True]
+        lines[1] = json.dumps(rec)
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(corpus), "--out", str(out), "--particles", "15"]) \
+            == EXIT_INPUT
+        assert "position 0" in caplog.text and "True" in caplog.text
+        ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
+        assert ids == ["run-00001"]
+
+    def test_run_record_without_observations_skipped(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
+        assert main(["synth", "--out", str(corpus), "--systems", "2",
+                     "--world-states", "4", "--seed", "5"]) == EXIT_OK
+        lines = corpus.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["world_states"], rec["observations"] = [], []
+        lines[1] = json.dumps(rec)
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(corpus), "--out", str(out), "--particles", "15"]) \
+            == EXIT_INPUT
+        assert "position 0" in caplog.text
         ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
         assert ids == ["run-00001"]
 
@@ -206,6 +253,19 @@ class TestReport:
         bad.write_text("[1]\n")
         assert main(["report", str(bad), "--out", str(tmp_path / "rep4")]) == EXIT_INPUT
 
+    def test_result_record_without_observations_exit_3(self, pipeline):
+        tmp_path, results = pipeline
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        first = records[0]
+        for key in ("world_states", "frame_counts", "detect_counts", "zeta"):
+            first[key] = []
+        first["maps"] = {m: [] for m in first["maps"]}
+        for key in ("mse_fa", "mse_miss", "mse_combined"):
+            first[key] = first[key][:1]
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", str(edited), "--out", str(tmp_path / "rep5")]) == EXIT_INPUT
+
     def test_missing_model_exit_3(self, pipeline):
         tmp_path, results = pipeline
         records = [json.loads(line) for line in results.read_text().splitlines()]
@@ -264,6 +324,14 @@ class TestIngest:
         code = main(["ingest", str(percepts), "--out", str(tmp_path / "o.jsonl"),
                      "--vocab", "a,b"])
         assert code == EXIT_INPUT
+
+    def test_boolean_frame_index_exit_3(self, tmp_path):
+        percepts = tmp_path / "p.jsonl"
+        percepts.write_text(
+            '{"observation_id":"clip","frame_index":0,"labels":["a"]}\n'
+            '{"observation_id":"clip","frame_index":true,"labels":["b"]}\n')
+        assert main(["ingest", str(percepts), "--out", str(tmp_path / "o.jsonl"),
+                     "--vocab", "a,b", "--particles", "15"]) == EXIT_INPUT
 
     def test_vocab_file_variant(self, tmp_path):
         percepts = tmp_path / "p.jsonl"

@@ -8,17 +8,19 @@ from detcal.core import (
     DetectionStats,
     Observation,
     PriorConfig,
+    StateSpace,
     VisualSystem,
     beta_log_density,
-    observation_log_likelihood,
+    beta_predictive_terms,
     render_percept,
     sample_world_state,
+    state_log_predictive,
 )
 from detcal.dataset import synthesize_run
 from detcal.inference import (
     Particle,
-    ParticleEnsemble,
     ParticleFilterConfig,
+    SceneSums,
     assimilate_observation,
     estimate_v,
     init_ensemble,
@@ -43,9 +45,7 @@ PRIOR5 = PriorConfig()
 
 def small_config(**kw):
     # the ESS never drops below 1, so 1e-9 turns resampling off
-    base = dict(num_particles=8, seed=0,
-                rejuvenation_sweeps_per_observation=0,
-                ess_resample_threshold=1e-9)
+    base = dict(num_particles=8, seed=0, ess_resample_threshold=1e-9)
     base.update(kw)
     return ParticleFilterConfig(**base)
 
@@ -55,8 +55,13 @@ def assimilate_recorded(ens, observations):
     steps = []
     for obs in observations:
         assimilate_observation(ens, obs)
-        steps.append((ens.beliefs.copy(), [ens.space.states[i] for i in ens.scenes]))
+        steps.append((ens.beliefs.copy(), scene_sets(ens)))
     return steps
+
+
+def scene_sets(ens):
+    """The states the particles drew last, as category sets."""
+    return [frozenset(np.flatnonzero(mask).tolist()) for mask in ens.scenes]
 
 
 def urn_paths(ens, prior, c, observations, steps):
@@ -92,42 +97,37 @@ def random_instance(rng, c, n_obs, f_max=5):
 
 class TestInitEnsemble:
     def test_prior_mean_and_uniform_weights(self):
-        # exact regime: every particle starts at the prior's Beta counts
-        ens = init_ensemble(ParticleFilterConfig(seed=3), PRIOR5, 5)
-        for counts, shape in ((ens.a_fa, 2.0), (ens.b_fa, 10.0),
-                              (ens.a_miss, 2.0), (ens.b_miss, 10.0)):
-            assert counts.shape == (100, 5) and np.all(counts == shape)
-        est = estimate_v(ens)
-        assert np.allclose(est.fa, 1.0 / 6.0) and np.allclose(est.miss, 1.0 / 6.0)
-        assert np.all(ens.log_weights == 0.0)
-        assert ens.effective_sample_size == pytest.approx(100.0)
-        # sampling regime: point rates drawn from the prior
-        ens = init_ensemble(ParticleFilterConfig(seed=3, enumeration_limit=0), PRIOR5, 5)
-        entries = np.concatenate([ens.fa.ravel(), ens.miss.ravel()])
-        assert abs(entries.mean() - 1.0 / 6.0) < 0.02
+        # every particle starts at the prior's Beta counts, with the states
+        # enumerated (C=5) or summed out (C=16)
+        for c in (5, 16):
+            ens = init_ensemble(ParticleFilterConfig(seed=3), PRIOR5, c)
+            assert (ens.space is None) == (c > 15)
+            for counts, shape in ((ens.a_fa, 2.0), (ens.b_fa, 10.0),
+                                  (ens.a_miss, 2.0), (ens.b_miss, 10.0)):
+                assert counts.shape == (100, c) and np.all(counts == shape)
+            est = estimate_v(ens)
+            assert np.allclose(est.fa, 1.0 / 6.0) and np.allclose(est.miss, 1.0 / 6.0)
+            assert np.all(ens.log_weights == 0.0)
+            assert ens.effective_sample_size == pytest.approx(100.0)
 
     def test_seed_determinism_is_bitwise(self):
-        # only the sampling regime draws at start; the exact one draws states
-        cfg = ParticleFilterConfig(seed=11, enumeration_limit=0)
-        a = init_ensemble(cfg, PRIOR5, 5)
-        b = init_ensemble(cfg, PRIOR5, 5)
-        assert np.array_equal(a.fa, b.fa) and np.array_equal(a.miss, b.miss)
-        run = synthesize_run(PRIOR5, 5, 10, np.random.default_rng(11))
-        a, b = (init_ensemble(ParticleFilterConfig(seed=11), PRIOR5, 5) for _ in range(2))
-        for obs in run.observations:
-            assimilate_observation(a, obs)
-            assimilate_observation(b, obs)
-            assert np.array_equal(a.scenes, b.scenes)
-        for name in ("a_fa", "b_fa", "a_miss", "b_miss", "log_weights"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        # nothing is drawn at start; each step draws the states, enumerated
+        # (C=5) or summed out (C=16)
+        for c in (5, 16):
+            run = synthesize_run(PRIOR5, c, 10, np.random.default_rng(11))
+            a, b = (init_ensemble(ParticleFilterConfig(seed=11), PRIOR5, c) for _ in range(2))
+            for obs in run.observations:
+                assimilate_observation(a, obs)
+                assimilate_observation(b, obs)
+                assert np.array_equal(a.scenes, b.scenes)
+            for name in ("a_fa", "b_fa", "a_miss", "b_miss", "log_weights"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ParticleFilterConfig(num_particles=1)
         with pytest.raises(ValueError):
             ParticleFilterConfig(proposal_sigma=0.0)
-        with pytest.raises(ValueError):
-            ParticleFilterConfig(rejuvenation_sweeps_per_observation=-1)
         with pytest.raises(ValueError):
             ParticleFilterConfig(ess_resample_threshold=0.0)
 
@@ -223,19 +223,7 @@ class TestAssimilation:
         idx = ens.space.states.index(w)
         assert belief[idx] == pytest.approx(1.0, abs=1e-9)
         assert online_map_world_state(ens, 0) == w
-        assert [ens.space.states[i] for i in ens.scenes] == [w, w]
-
-    def test_identity_transition(self, rng):
-        # sampling regime without sweeps: weights and resampling must never
-        # move the rates
-        prior, observations = random_instance(rng, 3, n_obs=3)
-        cfg = small_config(enumeration_limit=0)
-        ens = init_ensemble(cfg, prior, 3)
-        before_fa, before_miss = ens.fa.copy(), ens.miss.copy()
-        for obs in observations:
-            assimilate_observation(ens, obs)
-        assert np.array_equal(ens.fa, before_fa)
-        assert np.array_equal(ens.miss, before_miss)
+        assert scene_sets(ens) == [w, w]
 
     def test_category_count_mismatch(self):
         ens = init_ensemble(small_config(), PriorConfig(count_bounds=(1, 3)), 3)
@@ -441,7 +429,7 @@ class TestParticleLearning:
                               for w in states])
         k = np.array([s.counts for s in stats], dtype=float)[:, None, :]   # (T, 1, C)
         rest = np.array([s.frame_count for s in stats], dtype=float)[:, None, None] - k
-        present = presence[np.array(drawn)]                                  # (T, M, C)
+        present = np.array(drawn, dtype=float)                               # (T, M, C)
         absent = 1.0 - present
         a, b = prior.beta_alpha, prior.beta_beta
         # counts after each step, and before it (shifted by one step)
@@ -526,71 +514,147 @@ class TestParticleLearning:
                 assert not any(isinstance(v, np.ndarray) for v in value), name
 
 
-class TestSamplingRegime:
-    def test_runs_and_is_deterministic(self, rng):
-        prior, observations = random_instance(rng, 3, n_obs=4)
-        cfg = ParticleFilterConfig(num_particles=40, seed=9, enumeration_limit=2)
-        a = run_filter(observations, cfg, prior, 3)
-        b = run_filter(observations, cfg, prior, 3)
-        assert a.map_states == b.map_states
-        for ea, eb in zip(a.estimates, b.estimates):
-            assert np.array_equal(ea.as_flat(), eb.as_flat())
+def random_beta_counts(rng, m, c):
+    """(a_fa, b_fa, a_miss, b_miss) for m particles, with entries below and above 1."""
+    return [rng.choice([0.3, 3.0, 30.0]) * (0.05 + rng.random((m, c))) for _ in range(4)]
 
-    def test_weights_use_likelihood_at_sample(self, rng):
-        prior, observations = random_instance(rng, 2, n_obs=1)
-        cfg = small_config(enumeration_limit=0, num_particles=6)
-        ens = init_ensemble(cfg, prior, 2)
-        assert ens.enumerated is False
-        initial = [ens.particle(m).v_hat for m in range(6)]
-        assimilate_observation(ens, observations[0])
-        stats = DetectionStats.from_observation(observations[0], 2)
-        for m in range(6):
-            w = ens.particle(m).world_beliefs[0]
-            expected = observation_log_likelihood(stats, w, initial[m])
-            assert ens.log_weights[m] == expected
 
-    def test_default_config_samples_above_the_enumeration_limit(self, monkeypatch):
-        # C=16 is one past the default enumeration_limit, the real trigger
+def count_bounds_cases(c):
+    """(lo, hi) pairs at C=c: lo=0, lo=hi and hi=C among them."""
+    return sorted({(0, c), (0, (c + 1) // 2), (c // 2, c // 2), (1, c), (c, c),
+                   (min(1, c), max(1, c - 1))})
+
+
+def state_index(space, masks):
+    """Index into ``space.states`` of each presence mask."""
+    index = {w: i for i, w in enumerate(space.states)}
+    return [index[frozenset(np.flatnonzero(mask).tolist())] for mask in masks]
+
+
+class TestSceneSums:
+    """States summed out with elementary symmetric polynomials, against the
+    enumerated predictive summed by logsumexp."""
+
+    def test_evidence_and_map_match_enumeration(self):
+        rng = np.random.default_rng(2024)
+        worst, cases, maps = 0.0, 0, 0
+        for c in range(1, 11):
+            for lo, hi in count_bounds_cases(c):
+                prior = PriorConfig(count_bounds=(lo, hi))
+                space = StateSpace.build(prior, c)
+                for _ in range(5):
+                    beta_counts = random_beta_counts(rng, 4, c)
+                    f = int(rng.integers(1, 9))
+                    k = rng.integers(0, f + 1, size=c)
+                    ll = state_log_predictive(k, f, *beta_counts, space)
+                    sums = SceneSums(*beta_predictive_terms(k, f, *beta_counts), prior)
+                    worst = max(worst, float(np.max(np.abs(
+                        sums.log_evidence - logsumexp(ll, axis=1)))))
+                    cases += 1
+                    for m, best in enumerate(state_index(space, sums.map_states())):
+                        top = np.sort(ll[m])[::-1]
+                        if len(top) > 1 and top[0] - top[1] < 1e-9:
+                            continue  # a near-tie is decided by rounding
+                        assert best == int(np.argmax(ll[m]))
+                        maps += 1
+        assert cases >= 200 and maps >= 500
+        assert worst <= 1e-10
+
+    def test_map_ties_go_to_the_first_state_in_bit_order(self):
+        # equal odds for every category: all states of one size tie
+        prior = PriorConfig(count_bounds=(0, 4))
+        space = StateSpace.build(prior, 6)
+        for log_odds in (-3.0, 0.0, 3.0):
+            sums = SceneSums(np.full((1, 6), log_odds), np.zeros((1, 6)), prior)
+            scores = space.presence.sum(axis=1) * log_odds + space.log_prior
+            assert state_index(space, sums.map_states()) == [int(np.argmax(scores))]
+
+    def test_draws_follow_the_exact_posterior(self):
+        # 10 batches of 20000 particles with equal counts: 2e5 draws at C=6
+        rng = np.random.default_rng(6)
+        prior = PriorConfig(count_bounds=(0, 4))
+        space = StateSpace.build(prior, 6)
+        beta_counts = random_beta_counts(np.random.default_rng(60), 1, 6)
+        k, f = np.array([0, 3, 5, 1, 4, 2]), 5
+        exact = np.exp(state_log_predictive(k, f, *beta_counts, space)[0])
+        exact /= exact.sum()
+        many = [np.repeat(x, 20_000, axis=0) for x in beta_counts]
+        sums = SceneSums(*beta_predictive_terms(k, f, *many), prior)
+        freq = np.zeros(space.size)
+        for _ in range(10):
+            freq += np.bincount(state_index(space, sums.draw(rng)), minlength=space.size)
+        tv = 0.5 * np.abs(freq / freq.sum() - exact).sum()
+        assert tv < 0.01
+
+
+class TestFilterAboveTheEnumerationLimit:
+    """At C=16 the filter sums the states out. With at most 3 objects there
+    are S=697 states, few enough for the test to enumerate."""
+
+    PRIOR = PriorConfig(count_bounds=(0, 3))
+
+    def test_weights_and_counts_match_enumeration(self):
+        # resampling off: particle m keeps its index, so its counts are a
+        # recount over the states it drew and each log-weight increment is
+        # its enumerated predictive under its counts before the step
+        c = 16
+        space = StateSpace.build(self.PRIOR, c)
+        assert space.size == 697
+        worst = 0.0
+        for i in range(3):
+            run = synthesize_run(self.PRIOR, c, 40, np.random.default_rng(1600 + i))
+            ens = init_ensemble(small_config(num_particles=20, seed=i), self.PRIOR, c)
+            assert ens.space is None
+            a, b = self.PRIOR.beta_alpha, self.PRIOR.beta_beta
+            recount = [np.full((20, c), x) for x in (a, b, a, b)]
+            for obs in run.observations:
+                s = DetectionStats.from_observation(obs, c)
+                ll = state_log_predictive(s.counts, s.frame_count, ens.a_fa, ens.b_fa,
+                                          ens.a_miss, ens.b_miss, space)
+                before = ens.log_weights.copy()
+                assimilate_observation(ens, s)
+                worst = max(worst, float(np.max(np.abs(
+                    ens.log_weights - before - logsumexp(ll, axis=1)))))
+                k = s.counts.astype(float)
+                rest = s.frame_count - k
+                present, absent = ens.scenes, ~ens.scenes
+                assert np.all(present.sum(axis=1) <= 3)
+                recount = [recount[0] + absent * k, recount[1] + absent * rest,
+                           recount[2] + present * rest, recount[3] + present * k]
+            for name, total in zip(("a_fa", "b_fa", "a_miss", "b_miss"), recount):
+                assert np.array_equal(getattr(ens, name), total), name
+        assert worst <= 1e-10
+
+    def test_online_readout_matches_the_enumerated_mixture(self):
+        # the readout scores only the particles' own MAP states; the
+        # mixture's argmax over all 697 states must almost always be one
+        c = 16
+        space = StateSpace.build(self.PRIOR, c)
+        agree = total = 0
+        for i in range(10):
+            run = synthesize_run(self.PRIOR, c, 60, np.random.default_rng(1700 + i))
+            ens = init_ensemble(ParticleFilterConfig(seed=i), self.PRIOR, c)
+            for t, obs in enumerate(run.observations):
+                s = DetectionStats.from_observation(obs, c)
+                ll = state_log_predictive(s.counts, s.frame_count, ens.a_fa, ens.b_fa,
+                                          ens.a_miss, ens.b_miss, space)
+                evidence = logsumexp(ll, axis=1)
+                w = np.exp(ens.log_weights + evidence - logsumexp(ens.log_weights + evidence))
+                mixture = w @ np.exp(ll - evidence[:, None])
+                assimilate_observation(ens, s)
+                agree += online_map_world_state(ens, t) == space.states[int(np.argmax(mixture))]
+                total += 1
+        assert total >= 500
+        assert agree >= 0.99 * total, f"{agree} of {total} readouts agree"
+
+    def test_default_config_is_bitwise_deterministic(self):
+        # C=16 is one past the enumeration limit under the default prior
         prior = PriorConfig()
         cfg = ParticleFilterConfig(seed=4)
-        run = synthesize_run(prior, 16, 6, np.random.default_rng(16))
-        a = run_filter(run.observations, cfg, prior, 16)
-        b = run_filter(run.observations, cfg, prior, 16)
-        assert a.map_states == b.map_states
+        run = synthesize_run(prior, 16, 20, np.random.default_rng(16))
+        a = run_filter(run.observations, cfg, prior, 16, v_true=run.v_true)
+        b = run_filter(run.observations, cfg, prior, 16, v_true=run.v_true)
+        assert a.map_states == b.map_states and a.mse == b.mse
         for ea, eb in zip(a.estimates, b.estimates):
             assert np.array_equal(ea.as_flat(), eb.as_flat())
-
-        # the weight of each particle is the likelihood at its sampled scene,
-        # read before a resample would reset the weights
-        ens = init_ensemble(cfg, prior, 16)
-        assert ens.enumerated is False
-        initial = [ens.particle(m).v_hat for m in range(ens.num_particles)]
-        seen = {}
-        reorder = ParticleEnsemble._reorder
-
-        def spy(self, idx):
-            seen["log_weights"] = self.log_weights.copy()
-            seen["scenes"] = self._world_samples[:, -1].copy()
-            reorder(self, idx)
-
-        monkeypatch.setattr(ParticleEnsemble, "_reorder", spy)
-        assimilate_observation(ens, run.observations[0])
-        log_weights = seen.get("log_weights", ens.log_weights)
-        scenes = seen.get("scenes", ens._world_samples[:, -1])
-        stats = DetectionStats.from_observation(run.observations[0], 16)
-        for m in range(ens.num_particles):
-            w = frozenset(np.nonzero(scenes[m])[0].tolist())
-            assert log_weights[m] == observation_log_likelihood(stats, w, initial[m])
-
-    def test_majority_vote_readout(self, rng):
-        prior, observations = random_instance(rng, 2, n_obs=1)
-        cfg = small_config(enumeration_limit=0, num_particles=30)
-        ens = init_ensemble(cfg, prior, 2)
-        assimilate_observation(ens, observations[0])
-        state = online_map_world_state(ens, 0)
-        codes = [frozenset(np.nonzero(ens._world_samples[m, 0])[0].tolist())
-                 for m in range(30)]
-        counts = {}
-        for s in codes:
-            counts[s] = counts.get(s, 0) + 1
-        assert counts[state] == max(counts.values())
+        assert all(1 <= len(w) <= 5 for w in a.map_states)
