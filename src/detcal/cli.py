@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .dataset import CorpusFormatError, PerceptFormatError
+from .dataset import CorpusFormatError, PerceptFormatError, text_lines
 from .experiment import (
     ALL_MODELS,
     ConfigError,
@@ -49,7 +49,6 @@ _SETTINGS = {
     "poisson_lambda": ("poisson_lambda", float),
     "seed": ("seed", int),
     "models": ("models", str),
-    "format": ("format", str),
     "jobs": ("jobs", int),
 }
 
@@ -66,7 +65,7 @@ def _load_config_file(path: str) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text_lines(p, ConfigError), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -121,8 +120,6 @@ def _add_settings(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--poisson-lambda", type=float, dest="poisson_lambda")
     g.add_argument("--seed", type=int, help="root seed (default 0)")
     g.add_argument("--models", help="comma list from: " + ",".join(ALL_MODELS))
-    g.add_argument("--format", choices=("jsonl", "csv"),
-                   help="results file format (default jsonl)")
     g.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
 
 
@@ -186,8 +183,8 @@ def _dispatch(args) -> int:
             vpath = Path(args.vocab_file)
             if not vpath.exists():
                 raise InputError(f"vocabulary file not found: {args.vocab_file}")
-            vocabulary = [line.strip() for line in
-                          vpath.read_text(encoding="utf-8").splitlines() if line.strip()]
+            vocabulary = [line.strip() for line in text_lines(vpath, InputError)
+                          if line.strip()]
         if not vocabulary:
             raise ConfigError("the vocabulary is empty")
         if len(set(vocabulary)) != len(vocabulary):

@@ -174,6 +174,19 @@ def parse_record(line, kind: str) -> dict:
     return rec
 
 
+def text_lines(path, error):
+    """The lines of the UTF-8 file at ``path``, read lazily.
+
+    A byte sequence that is not UTF-8 raises ``error`` naming the file, so
+    each caller's error class picks the exit code.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def corpus_header(prior: PriorConfig, num_categories: int, num_systems: int,
                   world_states_per_system: int, root_seed: int) -> dict:
     return {
@@ -243,19 +256,16 @@ def _parse_header(line: str) -> Corpus:
 def read_corpus(path) -> Corpus:
     """Open a corpus file; `runs` is a lazy generator over its run records."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        corpus = _parse_header(fh.readline())
+    corpus = _parse_header(next(text_lines(path, CorpusFormatError), ""))
 
     def _iter_runs():
-        with open(path, encoding="utf-8") as fh:
-            fh.readline()
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    yield Run.from_record(parse_record(line, "run"), corpus.num_categories)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise CorpusFormatError(f"line {lineno}: bad run record ({exc})") from exc
+        for lineno, line in enumerate(text_lines(path, CorpusFormatError), start=1):
+            if lineno == 1 or not line.strip():
+                continue
+            try:
+                yield Run.from_record(parse_record(line, "run"), corpus.num_categories)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorpusFormatError(f"line {lineno}: bad run record ({exc})") from exc
 
     corpus.runs = _iter_runs()
     return corpus
@@ -301,38 +311,37 @@ def ingest_percept_groups(path, vocabulary) -> list:
     path = Path(path)
     index_of = {name: i for i, name in enumerate(vocabulary)}
     groups: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise PerceptFormatError(f"line {lineno}: not valid JSON ({exc})") from exc
-            if not isinstance(rec, dict):
-                raise PerceptFormatError(f"line {lineno}: expected an object")
-            try:
-                obs_id = rec["observation_id"]
-                frame_index = rec["frame_index"]
-                labels = rec["labels"]
-            except KeyError as exc:
-                raise PerceptFormatError(f"line {lineno}: missing field {exc}") from exc
-            if not isinstance(obs_id, str) or type(frame_index) is not int \
-                    or not isinstance(labels, list):
-                raise PerceptFormatError(f"line {lineno}: wrong field types")
-            detected = set()
-            for label in labels:
-                if label not in index_of:
-                    raise PerceptFormatError(
-                        f"line {lineno}: unknown label {label!r} "
-                        f"(not in the {len(vocabulary)}-name vocabulary)")
-                detected.add(index_of[label])
-            frames = groups.setdefault(obs_id, {})
-            if frame_index in frames:
+    for lineno, line in enumerate(text_lines(path, PerceptFormatError), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise PerceptFormatError(f"line {lineno}: not valid JSON ({exc})") from exc
+        if not isinstance(rec, dict):
+            raise PerceptFormatError(f"line {lineno}: expected an object")
+        try:
+            obs_id = rec["observation_id"]
+            frame_index = rec["frame_index"]
+            labels = rec["labels"]
+        except KeyError as exc:
+            raise PerceptFormatError(f"line {lineno}: missing field {exc}") from exc
+        if not isinstance(obs_id, str) or type(frame_index) is not int \
+                or not isinstance(labels, list):
+            raise PerceptFormatError(f"line {lineno}: wrong field types")
+        detected = set()
+        for label in labels:
+            if label not in index_of:
                 raise PerceptFormatError(
-                    f"line {lineno}: duplicate frame_index {frame_index} "
-                    f"for observation {obs_id!r}")
-            frames[frame_index] = frozenset(detected)
+                    f"line {lineno}: unknown label {label!r} "
+                    f"(not in the {len(vocabulary)}-name vocabulary)")
+            detected.add(index_of[label])
+        frames = groups.setdefault(obs_id, {})
+        if frame_index in frames:
+            raise PerceptFormatError(
+                f"line {lineno}: duplicate frame_index {frame_index} "
+                f"for observation {obs_id!r}")
+        frames[frame_index] = frozenset(detected)
     if not groups:
         raise PerceptFormatError(f"{path}: no percept records found")
     out = []

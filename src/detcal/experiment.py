@@ -1,11 +1,11 @@
 """End-to-end experiment machinery behind the CLI.
 
 Owns the experiment configuration, per-run model evaluation, the results
-file formats (line-delimited records or CSV), resumable streaming writes,
-and the aggregate report tables. Everything is a pure function of
-(config, corpus bytes, seed): per-run filter randomness comes from a seed
-stream derived from the root seed and the run's position, so results are
-byte-identical regardless of worker count or interruption.
+file format, resumable streaming writes, and the aggregate report tables.
+Everything is a pure function of (config, corpus bytes, seed): per-run
+filter randomness comes from a seed stream derived from the root seed and
+the run's position, so results are byte-identical regardless of worker
+count or interruption.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .dataset import (
     inference_seed,
     parse_record,
     read_corpus,
+    text_lines,
 )
 from .inference import ParticleFilterConfig, retrospective_infer, run_filter
 from .metrics import (
@@ -57,15 +58,6 @@ FITTED_ROW = "fitted_threshold"
 FITTED_HOLDOUT_ROW = "fitted_threshold_holdout"
 CHANCE_ROW = "chance"
 
-FORMATS = ("jsonl", "csv")
-
-CSV_COLUMNS = ("run_id", "obs_index", "frame_count", "zeta", "world_state",
-               "detect_counts", "online_map", "retrospective_map",
-               "threshold_map", "fixed_prior_map",
-               "mse_fa", "mse_miss", "mse_combined")
-
-_NOT_RUN = "-"
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
@@ -73,6 +65,13 @@ class ConfigError(ValueError):
 
 class InputError(ValueError):
     """Missing or inconsistent input data (CLI exit code 3)."""
+
+
+def check_models(models) -> None:
+    """ConfigError naming every entry of ``models`` that is not a model."""
+    unknown = [m for m in models if m not in ALL_MODELS]
+    if unknown:
+        raise ConfigError(f"unknown models {unknown}; known: {list(ALL_MODELS)}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,6 @@ class ExperimentConfig:
     ess_resample_threshold: float = ParticleFilterConfig.ess_resample_threshold
     seed: int = 0
     models: tuple = ALL_MODELS
-    format: str = "jsonl"
     jobs: int = 1
 
     def __post_init__(self):
@@ -115,13 +113,9 @@ class ExperimentConfig:
             raise ConfigError("num_systems must be >= 1")
         if self.world_states_per_system < 1:
             raise ConfigError("world_states_per_system must be >= 1")
-        if self.format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        unknown = [m for m in self.models if m not in ALL_MODELS]
-        if unknown:
-            raise ConfigError(f"unknown models {unknown}; known: {list(ALL_MODELS)}")
+        check_models(self.models)
         if MODEL_RETRO in self.models and MODEL_ONLINE not in self.models:
             raise ConfigError("the retrospective model needs the online model's "
                               "final estimate; include 'online' in --models")
@@ -306,109 +300,24 @@ def evaluate_run(run: Run, config: ExperimentConfig, run_index: int) -> RunResul
 # Results files
 # ---------------------------------------------------------------------------
 
-def _encode_set(s) -> str:
-    return "|".join(str(c) for c in sorted(s))
-
-def _decode_set(text: str):
-    return frozenset(int(c) for c in text.split("|")) if text else frozenset()
-
-def _encode_counts(counts) -> str:
-    return "|".join(str(int(c)) for c in counts)
-
-
-def result_chunk(result: RunResult, fmt: str) -> str:
+def result_chunk(result: RunResult) -> str:
     """Serialize one run's results as the exact bytes appended to the file."""
-    if fmt == "jsonl":
-        return json.dumps(result.to_record(), separators=(",", ":")) + "\n"
-    rows = []
-    if result.mse_fa is not None:
-        rows.append([result.run_id, "0", "", "", _NOT_RUN, _NOT_RUN,
-                     _NOT_RUN, _NOT_RUN, _NOT_RUN, _NOT_RUN,
-                     repr(result.mse_fa[0]), repr(result.mse_miss[0]),
-                     repr(result.mse_combined[0])])
-    for t in range(result.num_observations):
-        def map_cell(model):
-            if model not in result.maps:
-                return _NOT_RUN
-            return _encode_set(result.maps[model][t])
-        rows.append([
-            result.run_id, str(t + 1), str(result.frame_counts[t]),
-            repr(result.zeta[t]), _encode_set(result.world_states[t]),
-            _encode_counts(result.detect_counts[t]),
-            map_cell(MODEL_ONLINE), map_cell(MODEL_RETRO),
-            map_cell(MODEL_THRESHOLD), map_cell(MODEL_FIXED_PRIOR),
-            repr(result.mse_fa[t + 1]) if result.mse_fa is not None else "",
-            repr(result.mse_miss[t + 1]) if result.mse_miss is not None else "",
-            repr(result.mse_combined[t + 1]) if result.mse_combined is not None else "",
-        ])
-    return "".join(",".join(row) + "\n" for row in rows)
-
-
-def _result_from_csv_rows(rows: list) -> RunResult:
-    col = {name: i for i, name in enumerate(CSV_COLUMNS)}
-    obs_rows = [r for r in rows if r[col["obs_index"]] != "0"]
-    prior_rows = [r for r in rows if r[col["obs_index"]] == "0"]
-    if not obs_rows:
-        raise InputError("results CSV run block has no observation rows")
-    counts0 = obs_rows[0][col["detect_counts"]].split("|")
-    result = RunResult(
-        run_id=obs_rows[0][col["run_id"]],
-        num_categories=len(counts0),
-        world_states=[_decode_set(r[col["world_state"]]) for r in obs_rows],
-        frame_counts=[int(r[col["frame_count"]]) for r in obs_rows],
-        detect_counts=[[int(x) for x in r[col["detect_counts"]].split("|")]
-                       for r in obs_rows],
-        zeta=[float(r[col["zeta"]]) for r in obs_rows],
-    )
-    for model, name in ((MODEL_ONLINE, "online_map"), (MODEL_RETRO, "retrospective_map"),
-                        (MODEL_THRESHOLD, "threshold_map"),
-                        (MODEL_FIXED_PRIOR, "fixed_prior_map")):
-        cells = [r[col[name]] for r in obs_rows]
-        if cells[0] != _NOT_RUN:
-            result.maps[model] = [_decode_set(c) for c in cells]
-    if prior_rows and obs_rows[0][col["mse_fa"]]:
-        head = prior_rows[0]
-        result.mse_fa = [float(head[col["mse_fa"]])] + \
-            [float(r[col["mse_fa"]]) for r in obs_rows]
-        result.mse_miss = [float(head[col["mse_miss"]])] + \
-            [float(r[col["mse_miss"]]) for r in obs_rows]
-        result.mse_combined = [float(head[col["mse_combined"]])] + \
-            [float(r[col["mse_combined"]]) for r in obs_rows]
-    return result
+    return json.dumps(result.to_record(), separators=(",", ":")) + "\n"
 
 
 def read_results(path):
-    """Yield RunResult records from a results file in either format."""
+    """Yield the RunResult records of a results file."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise InputError(f"{path}: results file is empty")
-        is_csv = first.startswith("run_id,")
-        if not is_csv:
-            for lineno, line in enumerate([first] + fh.readlines(), start=1):
-                if not line.strip():
-                    continue
-                try:
-                    yield RunResult.from_record(parse_record(line, "result"))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise InputError(f"{path} line {lineno}: bad result record ({exc})") from exc
-            return
-        block: list = []
-        block_id = None
-        for line in fh:
-            if not line.strip():
-                continue
-            row = line.rstrip("\n").split(",")
-            if len(row) != len(CSV_COLUMNS):
-                raise InputError(f"{path}: malformed results row {row[:2]}")
-            if block and row[0] != block_id:
-                yield _result_from_csv_rows(block)
-                block = []
-            block_id = row[0]
-            block.append(row)
-        if block:
-            yield _result_from_csv_rows(block)
+    lineno = 0
+    for lineno, line in enumerate(text_lines(path, InputError), start=1):
+        if not line.strip():
+            continue
+        try:
+            yield RunResult.from_record(parse_record(line, "result"))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(f"{path} line {lineno}: bad result record ({exc})") from exc
+    if not lineno:
+        raise InputError(f"{path}: results file is empty")
 
 
 def sha256_of(path) -> str:
@@ -473,11 +382,9 @@ def synth_command(config: ExperimentConfig, out_path) -> None:
 
 
 def _iter_corpus_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            if line.strip():
-                yield line
+    for lineno, line in enumerate(text_lines(path, InputError), start=1):
+        if lineno > 1 and line.strip():
+            yield line
 
 
 _worker_config: ExperimentConfig | None = None
@@ -496,50 +403,26 @@ def _worker_evaluate(task):
     except (ValueError, KeyError, TypeError) as exc:
         return None, f"corpus record at position {index}: {exc}"
     result = evaluate_run(run, _worker_config, index)
-    return result_chunk(result, _worker_config.format), None
+    return result_chunk(result), None
 
 
-def _rows_per_run(config: ExperimentConfig) -> int:
-    return config.world_states_per_system + (1 if MODEL_ONLINE in config.models else 0)
-
-
-def _complete_prefix(path: Path, fmt: str, rows_per_run: int):
+def _complete_prefix(path: Path):
     """(fully written runs, byte offset after them, last written run_id)."""
     runs = 0
-    good_offset = 0
     offset = 0
-    pending_rows = 0
     last_run_id = None
-    first = True
     with open(path, "rb") as fh:
         for raw in fh:
             if not raw.endswith(b"\n"):
                 break
-            if fmt == "csv" and first:
-                first = False
-                if not raw.startswith(b"run_id,"):
-                    break
-                offset += len(raw)
-                good_offset = offset
-                continue
-            if fmt == "jsonl":
-                try:
-                    rec = parse_record(raw, "result")
-                except ValueError:
-                    break
-                offset += len(raw)
-                runs += 1
-                good_offset = offset
-                last_run_id = rec.get("run_id")
-            else:
-                offset += len(raw)
-                pending_rows += 1
-                if pending_rows == rows_per_run:
-                    runs += 1
-                    pending_rows = 0
-                    good_offset = offset
-                    last_run_id = raw.split(b",", 1)[0].decode("utf-8")
-    return runs, good_offset, last_run_id
+            try:
+                rec = parse_record(raw, "result")
+            except ValueError:
+                break
+            offset += len(raw)
+            runs += 1
+            last_run_id = rec.get("run_id")
+    return runs, offset, last_run_id
 
 
 def _position_after(corpus_path, run_id: str | None) -> int:
@@ -595,7 +478,6 @@ def run_command(config: ExperimentConfig, corpus_path, out_path):
         "config": config.echo(),
         "corpus": corpus_path.name,
         "corpus_sha256": sha256_of(corpus_path),
-        "format": config.format,
         "models": list(config.models),
     }
     done = 0
@@ -607,8 +489,7 @@ def run_command(config: ExperimentConfig, corpus_path, out_path):
             raise InputError(
                 f"{out_path} was produced with a different config or corpus; "
                 "remove it or pick another --out to start fresh")
-        done, offset, last_run_id = _complete_prefix(out_path, config.format,
-                                                     _rows_per_run(config))
+        done, offset, last_run_id = _complete_prefix(out_path)
         start = _position_after(corpus_path, last_run_id)
         logger.info("resuming: %d runs already complete", done)
     write_manifest(out_path, manifest)
@@ -622,8 +503,6 @@ def run_command(config: ExperimentConfig, corpus_path, out_path):
         if mode == "r+b":
             fh.truncate(offset)
             fh.seek(offset)
-        if config.format == "csv" and offset == 0:
-            fh.write((",".join(CSV_COLUMNS) + "\n").encode("utf-8"))
 
         def write_all(outcomes):
             nonlocal computed, skipped
@@ -684,28 +563,18 @@ def ingest_command(config: ExperimentConfig, percepts_path, vocabulary,
         "v_hat": v_hat.as_flat().tolist(),
     })
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        if config.format == "csv":
-            fh.write("obs_index,observation_id,online_map,retrospective_map,"
-                     "retrospective_map_mass\n")
-            for t, (obs_id, _) in enumerate(groups):
-                state, mass = retro[t]
-                fh.write(",".join([
-                    str(t + 1), obs_id,
-                    _encode_set(trace.map_states[t]), _encode_set(state),
-                    repr(mass)]) + "\n")
-        else:
-            head = {"record": "inferences", "schema_version": SCHEMA_VERSION,
-                    "v_hat": v_hat.as_flat().tolist(),
-                    "vocabulary": list(vocabulary)}
-            fh.write(json.dumps(head, separators=(",", ":")) + "\n")
-            for t, (obs_id, _) in enumerate(groups):
-                state, mass = retro[t]
-                rec = {"record": "inference", "obs_index": t + 1,
-                       "observation_id": obs_id,
-                       "online_map": sorted(trace.map_states[t]),
-                       "retrospective_map": sorted(state),
-                       "retrospective_map_mass": mass}
-                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        head = {"record": "inferences", "schema_version": SCHEMA_VERSION,
+                "v_hat": v_hat.as_flat().tolist(),
+                "vocabulary": list(vocabulary)}
+        fh.write(json.dumps(head, separators=(",", ":")) + "\n")
+        for t, (obs_id, _) in enumerate(groups):
+            state, mass = retro[t]
+            rec = {"record": "inference", "obs_index": t + 1,
+                   "observation_id": obs_id,
+                   "online_map": sorted(trace.map_states[t]),
+                   "retrospective_map": sorted(state),
+                   "retrospective_map_mass": mass}
+            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +606,8 @@ def report_command(results_paths, out_dir, models=None,
     chance accuracy, under the prior of the first results file that has a
     manifest (the default prior when none has). Returns {table name: path}.
     """
+    if models is not None:
+        check_models(models)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []

@@ -159,7 +159,7 @@ def _reference_chunk(task) -> str:
     mse = [trace["initial_mse"]] + trace["mse"]
     result.mse_combined, result.mse_fa, result.mse_miss = (
         [row[i] for row in mse] for i in range(3))
-    return result_chunk(result, "jsonl")
+    return result_chunk(result)
 
 
 @pytest.fixture(scope="session")

@@ -54,7 +54,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, key", [("--enumeration-limit", "enumeration_limit"),
                                            ("--sweeps", "sweeps"),
-                                           ("--proposal-sigma", "proposal_sigma")])
+                                           ("--proposal-sigma", "proposal_sigma"),
+                                           ("--format", "format")])
     def test_removed_filter_settings_exit_2(self, tmp_path, flag, key):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out", str(tmp_path / "c.jsonl"), flag, "1"])
@@ -266,6 +267,35 @@ class TestReport:
         edited.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert main(["report", str(edited), "--out", str(tmp_path / "rep5")]) == EXIT_INPUT
 
+    def test_unknown_model_exit_2(self, pipeline, caplog):
+        tmp_path, results = pipeline
+        out = tmp_path / "rep6"
+        assert main(["report", str(results), "--out", str(out),
+                     "--models", "online,psychic"]) == EXIT_CONFIG
+        assert "psychic" in caplog.text and "fixed_prior" in caplog.text
+        assert not out.exists()
+
+    def test_results_of_the_removed_csv_format_refused(self, pipeline, caplog):
+        # what `run --format csv` wrote before that format was removed,
+        # cut mid-way through its first run
+        tmp_path, results = pipeline
+        old = tmp_path / "old.csv"
+        old.write_text("run_id,obs_index,frame_count,zeta,world_state,detect_counts,"
+                       "online_map,retrospective_map,threshold_map,fixed_prior_map,"
+                       "mse_fa,mse_miss,mse_combined\n"
+                       "run-00000,0,,,-,-,-,-,-,-,0.01,0.02,0.03\nrun-00000,1,4")
+        manifest = json.loads(results.with_name("results.jsonl.manifest.json").read_text())
+        manifest["format"] = manifest["config"]["format"] = "csv"
+        old_manifest = old.with_name("old.csv.manifest.json")
+        old_manifest.write_text(json.dumps(manifest))
+        before = old.read_bytes(), old_manifest.read_bytes()
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["run", str(corpus), "--out", str(old), *SMALL]) == EXIT_INPUT
+        assert (old.read_bytes(), old_manifest.read_bytes()) == before
+        caplog.clear()
+        assert main(["report", str(old), "--out", str(tmp_path / "rep7")]) == EXIT_INPUT
+        assert f"{old} line 1" in caplog.text
+
     def test_missing_model_exit_3(self, pipeline):
         tmp_path, results = pipeline
         records = [json.loads(line) for line in results.read_text().splitlines()]
@@ -275,6 +305,48 @@ class TestReport:
         partial.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert main(["report", str(partial), "--out", str(tmp_path / "rep3"),
                      "--models", "online,fixed_prior"]) == EXIT_INPUT
+
+
+def _not_utf8_input(tmp_path, case):
+    """(argv, the file in it that holds a byte that is not UTF-8)."""
+    percepts = tmp_path / "p.jsonl"
+    percepts.write_text('{"observation_id":"x","frame_index":0,"labels":["a"]}\n')
+    ingest = ["ingest", str(percepts), "--out", str(tmp_path / "o.jsonl"),
+              "--particles", "15"]
+    if case == "percepts":
+        percepts.write_bytes(b'{"observation_id":"x","frame_index":0,"labels":["\xff"]}\n')
+        return ingest + ["--vocab", "a,b"], percepts
+    if case == "vocab_file":
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(b"a\n\xff\n")
+        return ingest + ["--vocab-file", str(vocab)], vocab
+    if case == "results":
+        results = tmp_path / "r.jsonl"
+        results.write_bytes(b'{"record":"result","run_id":"run-0000\xff"}\n')
+        return ["report", str(results), "--out", str(tmp_path / "rep")], results
+    if case == "config":
+        config = tmp_path / "exp.conf"
+        config.write_bytes(b"particles=15\n# \xff\n")
+        return ["synth", "--out", str(tmp_path / "c.jsonl"), "--config", str(config)], config
+    # the bad byte lies in the last run, past the 8 KiB that reading the
+    # header decodes, so it is met while runs are being handed out
+    corpus = synth(tmp_path, extra=("--world-states", "80"))
+    data = corpus.read_bytes()
+    at = data.rindex(b"run-0000")
+    assert at > 8192
+    corpus.write_bytes(data[:at] + b"run-\xff" + data[at + 5:])
+    jobs = "2" if case == "corpus_jobs_2" else "1"
+    return ["run", str(corpus), "--out", str(tmp_path / "r.jsonl"), *SMALL,
+            "--world-states", "80", "--jobs", jobs], corpus
+
+
+@pytest.mark.parametrize("case, code", [("corpus", EXIT_INPUT), ("corpus_jobs_2", EXIT_INPUT),
+                                        ("percepts", EXIT_INPUT), ("vocab_file", EXIT_INPUT),
+                                        ("results", EXIT_INPUT), ("config", EXIT_CONFIG)])
+def test_input_that_is_not_utf8_exits_with_its_code(tmp_path, caplog, case, code):
+    argv, bad = _not_utf8_input(tmp_path, case)
+    assert main(argv) == code
+    assert f"{bad}: not UTF-8" in caplog.text
 
 
 class TestIngest:

@@ -65,8 +65,6 @@ class TestConfigValidation:
 
     def test_bad_format_and_jobs(self):
         with pytest.raises(ConfigError):
-            small_config(format="xml")
-        with pytest.raises(ConfigError):
             small_config(jobs=0)
 
 
@@ -107,16 +105,13 @@ def read_corpus_runs(config):
 
 
 class TestResultSerialization:
-    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("fmt", ["jsonl"])
     def test_chunk_round_trip(self, tmp_path, fmt):
-        config = small_config(format=fmt)
+        config = small_config()
         run = next(read_corpus_runs(config))
         result = evaluate_run(run, config, 0)
         path = tmp_path / f"results.{fmt}"
-        header = "run_id,obs_index,frame_count,zeta,world_state,detect_counts," \
-                 "online_map,retrospective_map,threshold_map,fixed_prior_map," \
-                 "mse_fa,mse_miss,mse_combined\n" if fmt == "csv" else ""
-        path.write_text(header + result_chunk(result, fmt))
+        path.write_text(result_chunk(result))
         loaded = list(read_results(path))
         assert len(loaded) == 1
         got = loaded[0]
@@ -205,16 +200,6 @@ class TestRunCommand:
         out = tmp_path / "results.jsonl"
         run_command(small_config(jobs=2), corpus, out)
         assert out.read_bytes() == results.read_bytes()
-
-    def test_csv_format_round_trips_via_reader(self, small_results, tmp_path):
-        config, corpus, results = small_results
-        out = tmp_path / "results.csv"
-        run_command(small_config(format="csv"), corpus, out)
-        csv_loaded = list(read_results(out))
-        jsonl_loaded = list(read_results(results))
-        for a, b in zip(csv_loaded, jsonl_loaded):
-            assert a.run_id == b.run_id and a.maps == b.maps
-            np.testing.assert_allclose(a.zeta, b.zeta, rtol=1e-15)
 
 
 class TestReport:
