@@ -28,7 +28,6 @@ from .inference import (
 from .baselines import ThresholdPolicy, fit_threshold, fixed_prior_infer, threshold_infer
 from .dataset import Corpus, Run, ingest_percepts, read_corpus, synthesize_corpus, synthesize_run
 from .metrics import (
-    RunEvaluation,
     chance_accuracy,
     meta_mse,
     observation_noise,
@@ -48,7 +47,7 @@ __all__ = [
     "ThresholdPolicy", "fit_threshold", "fixed_prior_infer", "threshold_infer",
     "Corpus", "Run", "ingest_percepts", "read_corpus", "synthesize_corpus",
     "synthesize_run",
-    "RunEvaluation", "chance_accuracy", "meta_mse", "observation_noise",
+    "chance_accuracy", "meta_mse", "observation_noise",
     "rolling_accuracy_by_noise", "world_state_accuracy",
     "ExperimentConfig",
     "__version__",

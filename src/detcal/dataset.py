@@ -224,14 +224,14 @@ def write_corpus(path, prior: PriorConfig, num_categories: int, num_systems: int
         raise OSError(f"corpus write failed at run index {index + 1}: {exc}") from exc
 
 
-def _parse_header(line: str) -> Corpus:
+def _parse_header(line: str, path) -> Corpus:
     try:
         rec = parse_record(line, "corpus")
     except ValueError as exc:
-        raise CorpusFormatError(f"line 1: bad corpus header ({exc})") from exc
+        raise CorpusFormatError(f"{path} line 1: bad corpus header ({exc})") from exc
     if rec.get("schema_version") != SCHEMA_VERSION:
         raise CorpusFormatError(
-            f"unsupported schema_version {rec.get('schema_version')}")
+            f"{path} line 1: unsupported schema_version {rec.get('schema_version')}")
     try:
         p = rec["prior"]
         prior = PriorConfig(
@@ -241,12 +241,12 @@ def _parse_header(line: str) -> Corpus:
             frames_bounds=tuple(p["frames_bounds"]))
         num_categories = rec["num_categories"]
     except KeyError as exc:
-        raise CorpusFormatError(f"line 1: corpus header lacks {exc}") from exc
+        raise CorpusFormatError(f"{path} line 1: corpus header lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"line 1: bad corpus header ({exc})") from exc
+        raise CorpusFormatError(f"{path} line 1: bad corpus header ({exc})") from exc
     if type(num_categories) is not int or num_categories < 1:
-        raise CorpusFormatError(
-            f"line 1: num_categories must be a positive integer, got {num_categories!r}")
+        raise CorpusFormatError(f"{path} line 1: num_categories must be a positive "
+                                f"integer, got {num_categories!r}")
     return Corpus(prior=prior, num_categories=num_categories, runs=None,
                   num_systems=rec.get("num_systems"),
                   world_states_per_system=rec.get("world_states_per_system"),
@@ -256,7 +256,7 @@ def _parse_header(line: str) -> Corpus:
 def read_corpus(path) -> Corpus:
     """Open a corpus file; `runs` is a lazy generator over its run records."""
     path = Path(path)
-    corpus = _parse_header(next(text_lines(path, CorpusFormatError), ""))
+    corpus = _parse_header(next(text_lines(path, CorpusFormatError), ""), path)
 
     def _iter_runs():
         for lineno, line in enumerate(text_lines(path, CorpusFormatError), start=1):
@@ -265,7 +265,8 @@ def read_corpus(path) -> Corpus:
             try:
                 yield Run.from_record(parse_record(line, "run"), corpus.num_categories)
             except (ValueError, KeyError, TypeError) as exc:
-                raise CorpusFormatError(f"line {lineno}: bad run record ({exc})") from exc
+                raise CorpusFormatError(
+                    f"{path} line {lineno}: bad run record ({exc})") from exc
 
     corpus.runs = _iter_runs()
     return corpus
@@ -317,29 +318,29 @@ def ingest_percept_groups(path, vocabulary) -> list:
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise PerceptFormatError(f"line {lineno}: not valid JSON ({exc})") from exc
+            raise PerceptFormatError(f"{path} line {lineno}: not valid JSON ({exc})") from exc
         if not isinstance(rec, dict):
-            raise PerceptFormatError(f"line {lineno}: expected an object")
+            raise PerceptFormatError(f"{path} line {lineno}: expected an object")
         try:
             obs_id = rec["observation_id"]
             frame_index = rec["frame_index"]
             labels = rec["labels"]
         except KeyError as exc:
-            raise PerceptFormatError(f"line {lineno}: missing field {exc}") from exc
+            raise PerceptFormatError(f"{path} line {lineno}: missing field {exc}") from exc
         if not isinstance(obs_id, str) or type(frame_index) is not int \
                 or not isinstance(labels, list):
-            raise PerceptFormatError(f"line {lineno}: wrong field types")
+            raise PerceptFormatError(f"{path} line {lineno}: wrong field types")
         detected = set()
         for label in labels:
             if label not in index_of:
                 raise PerceptFormatError(
-                    f"line {lineno}: unknown label {label!r} "
+                    f"{path} line {lineno}: unknown label {label!r} "
                     f"(not in the {len(vocabulary)}-name vocabulary)")
             detected.add(index_of[label])
         frames = groups.setdefault(obs_id, {})
         if frame_index in frames:
             raise PerceptFormatError(
-                f"line {lineno}: duplicate frame_index {frame_index} "
+                f"{path} line {lineno}: duplicate frame_index {frame_index} "
                 f"for observation {obs_id!r}")
         frames[frame_index] = frozenset(detected)
     if not groups:

@@ -39,8 +39,8 @@ from .dataset import (
 )
 from .inference import ParticleFilterConfig, retrospective_infer, run_filter
 from .metrics import (
-    RunEvaluation,
     chance_accuracy,
+    meta_mse,
     observation_noise,
     rolling_accuracy_by_noise,
     world_state_accuracy,
@@ -249,16 +249,6 @@ class RunResult:
             mse_combined=rec.get("mse_combined"),
         )
 
-    def evaluation(self, models) -> RunEvaluation:
-        accuracy = {}
-        for m in models:
-            states = self.maps[m]
-            accuracy[m] = [world_state_accuracy(w, s)
-                           for w, s in zip(self.world_states, states)]
-        return RunEvaluation(run_id=self.run_id, zeta=list(self.zeta),
-                             accuracy=accuracy, mse_fa=self.mse_fa,
-                             mse_miss=self.mse_miss, mse_combined=self.mse_combined)
-
 
 def evaluate_run(run: Run, config: ExperimentConfig, run_index: int) -> RunResult:
     """Run the selected models over one run's observations."""
@@ -278,14 +268,12 @@ def evaluate_run(run: Run, config: ExperimentConfig, run_index: int) -> RunResul
 
     if MODEL_ONLINE in config.models:
         rng = np.random.default_rng(inference_seed(config.seed, run_index))
-        trace = run_filter(stats, config.filter_config(), prior, c,
-                           v_true=run.v_true, rng=rng)
+        trace = run_filter(stats, config.filter_config(), prior, c, rng=rng)
         result.maps[MODEL_ONLINE] = list(trace.map_states)
         v_hat = trace.final_estimate
         result.v_hat = v_hat.as_flat().tolist()
-        result.mse_combined = [trace.initial_mse[0]] + [m[0] for m in trace.mse]
-        result.mse_fa = [trace.initial_mse[1]] + [m[1] for m in trace.mse]
-        result.mse_miss = [trace.initial_mse[2]] + [m[2] for m in trace.mse]
+        mse = [meta_mse(run.v_true, e) for e in [trace.initial_estimate, *trace.estimates]]
+        result.mse_combined, result.mse_fa, result.mse_miss = map(list, zip(*mse))
         if MODEL_RETRO in config.models:
             result.maps[MODEL_RETRO] = retrospective_infer(v_hat, stats, prior, c)
     if MODEL_THRESHOLD in config.models:
@@ -332,16 +320,28 @@ def _manifest_path(path) -> Path:
     return Path(str(path) + ".manifest.json")
 
 
+def _write_whole(path: Path, chunks) -> None:
+    """Replace ``path`` whole with the text ``chunks`` hold.
+
+    The chunks go to a temp file beside it, which is fsynced and renamed
+    into place; if the write fails the temp file is removed and ``path``
+    is left as it was.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_manifest(path, payload: dict) -> None:
-    """Replace the manifest whole: write a temp file beside it, then rename."""
-    mpath = _manifest_path(path)
-    tmp = mpath.with_name(mpath.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, mpath)
+    """Replace the manifest of ``path`` whole, so it is never left partial."""
+    _write_whole(_manifest_path(path),
+                 [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
 def read_manifest(path) -> dict | None:
@@ -537,7 +537,8 @@ def ingest_command(config: ExperimentConfig, percepts_path, vocabulary,
     Runs the online filter over the ingested observations, then re-infers
     every world state under the final rate estimate; each output row holds
     the online and retrospective MAP states plus the posterior mass of the
-    retrospective one.
+    retrospective one. The output is renamed into place whole before its
+    manifest is written, so a failed write leaves no partial pair.
     """
     from .dataset import ingest_percept_groups
 
@@ -555,6 +556,17 @@ def ingest_command(config: ExperimentConfig, percepts_path, vocabulary,
     from .inference import retrospective_map_with_mass
     retro = retrospective_map_with_mass(v_hat, stats, prior, c)
 
+    head = {"record": "inferences", "schema_version": SCHEMA_VERSION,
+            "v_hat": v_hat.as_flat().tolist(),
+            "vocabulary": list(vocabulary)}
+    rows = [{"record": "inference", "obs_index": t + 1,
+             "observation_id": obs_id,
+             "online_map": sorted(trace.map_states[t]),
+             "retrospective_map": sorted(state),
+             "retrospective_map_mass": mass}
+            for t, ((obs_id, _), (state, mass)) in enumerate(zip(groups, retro))]
+    _write_whole(out_path, (json.dumps(rec, separators=(",", ":")) + "\n"
+                            for rec in [head, *rows]))
     write_manifest(out_path, {
         "kind": "inferences",
         "schema_version": SCHEMA_VERSION,
@@ -562,19 +574,6 @@ def ingest_command(config: ExperimentConfig, percepts_path, vocabulary,
         "vocabulary": list(vocabulary),
         "v_hat": v_hat.as_flat().tolist(),
     })
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        head = {"record": "inferences", "schema_version": SCHEMA_VERSION,
-                "v_hat": v_hat.as_flat().tolist(),
-                "vocabulary": list(vocabulary)}
-        fh.write(json.dumps(head, separators=(",", ":")) + "\n")
-        for t, (obs_id, _) in enumerate(groups):
-            state, mass = retro[t]
-            rec = {"record": "inference", "obs_index": t + 1,
-                   "observation_id": obs_id,
-                   "online_map": sorted(trace.map_states[t]),
-                   "retrospective_map": sorted(state),
-                   "retrospective_map_mass": mass}
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +591,13 @@ def _write_table(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _means_by_index(series) -> list:
+    """(mean, count) at each index, over the sequences long enough to reach it."""
+    depth = max(len(s) for s in series)
+    columns = ([s[t] for s in series if len(s) > t] for t in range(depth))
+    return [(float(np.mean(values)), len(values)) for values in columns]
 
 
 def report_command(results_paths, out_dir, models=None,
@@ -638,20 +644,20 @@ def report_command(results_paths, out_dir, models=None,
     if missing:
         raise InputError(f"results are missing model columns: {missing}")
 
-    evaluations = [r.evaluation(models) for r in results]
+    # per model, each run's 0/1 exact-match score of every observation
+    scores = {m: [[world_state_accuracy(w, s) for w, s in zip(r.world_states, r.maps[m])]
+                  for r in results] for m in models}
+    pooled = {m: [bit for bits in scores[m] for bit in bits] for m in models}
     paths = {}
 
     # A: estimate error by observation index (row 0 = prior baseline)
     with_mse = [r for r in results if r.mse_fa is not None]
     if MODEL_ONLINE in models and with_mse:
-        depth = max(len(r.mse_fa) for r in with_mse)
-        rows = []
-        for t in range(depth):
-            fa = [r.mse_fa[t] for r in with_mse if len(r.mse_fa) > t]
-            miss = [r.mse_miss[t] for r in with_mse if len(r.mse_miss) > t]
-            comb = [r.mse_combined[t] for r in with_mse if len(r.mse_combined) > t]
-            rows.append([t, float(np.mean(fa)), float(np.mean(miss)),
-                         float(np.mean(comb)), len(fa)])
+        fa = _means_by_index([r.mse_fa for r in with_mse])
+        miss = _means_by_index([r.mse_miss for r in with_mse])
+        comb = _means_by_index([r.mse_combined for r in with_mse])
+        rows = [[t, f, m, c, n]
+                for t, ((f, n), (m, _), (c, _)) in enumerate(zip(fa, miss, comb))]
         paths["mse_by_observation"] = out_dir / "mse_by_observation.csv"
         _write_table(paths["mse_by_observation"],
                      ["observation_index", "mse_fa", "mse_miss", "mse_combined",
@@ -660,23 +666,15 @@ def report_command(results_paths, out_dir, models=None,
     # B: accuracy by observation index
     if not models:
         raise InputError("no models present in the results to aggregate")
-    depth = max(len(e.accuracy[models[0]]) for e in evaluations)
-    rows = []
-    for t in range(depth):
-        row = [t + 1]
-        n = 0
-        for m in models:
-            bits = [e.accuracy[m][t] for e in evaluations
-                    if len(e.accuracy[m]) > t]
-            row.append(float(np.mean(bits)))
-            n = len(bits)
-        rows.append(row + [n])
+    columns = [_means_by_index(scores[m]) for m in models]
+    rows = [[t + 1, *(mean for mean, _ in cells), cells[-1][1]]
+            for t, cells in enumerate(zip(*columns))]
     paths["accuracy_by_observation"] = out_dir / "accuracy_by_observation.csv"
     _write_table(paths["accuracy_by_observation"],
                  ["observation_index"] + list(models) + ["run_count"], rows)
 
     # C: rolling accuracy by noise
-    points = rolling_accuracy_by_noise(evaluations)
+    points = rolling_accuracy_by_noise([z for r in results for z in r.zeta], pooled)
     paths["accuracy_by_noise"] = out_dir / "accuracy_by_noise.csv"
     _write_table(paths["accuracy_by_noise"],
                  ["zeta"] + list(models) + ["observation_count"],
@@ -695,9 +693,8 @@ def report_command(results_paths, out_dir, models=None,
     rows = []
     total_obs = sum(r.num_observations for r in results)
     for m in models:
-        bits = np.concatenate([np.asarray(e.accuracy[m]) for e in evaluations])
         theta = ThresholdPolicy().theta if m == MODEL_THRESHOLD else ""
-        rows.append([m, float(bits.mean()), theta, total_obs])
+        rows.append([m, float(np.mean(pooled[m])), theta, total_obs])
 
     all_stats = [s for r in results for s in r.stats()]
     all_truth = [w for r in results for w in r.world_states]

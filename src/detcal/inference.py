@@ -99,9 +99,7 @@ class PosteriorTrace:
 
     estimates: list = field(default_factory=list)
     map_states: list = field(default_factory=list)
-    mse: list | None = None        # (combined, fa_only, miss_only) per step
     initial_estimate: MetaEstimate | None = None
-    initial_mse: tuple | None = None
 
     @property
     def final_estimate(self) -> MetaEstimate:
@@ -503,29 +501,16 @@ def online_map_world_state(ensemble: ParticleEnsemble, t: int) -> WorldState:
 
 
 def run_filter(observations, config: ParticleFilterConfig, prior: PriorConfig,
-               num_categories: int, *, v_true: VisualSystem | None = None,
+               num_categories: int, *,
                rng: np.random.Generator | None = None) -> PosteriorTrace:
-    """Drive the filter over a full observation sequence and collect readouts.
-
-    When the generating rates are supplied the trace also carries the
-    per-step estimate error.
-    """
-    from .metrics import meta_mse
-
+    """Drive the filter over a full observation sequence and collect readouts."""
     ensemble = init_ensemble(config, prior, num_categories, rng=rng)
     trace = PosteriorTrace()
     trace.initial_estimate = estimate_v(ensemble)
-    if v_true is not None:
-        trace.initial_mse = meta_mse(v_true, trace.initial_estimate)
-        trace.mse = []
-
     for t, obs in enumerate(observations):
         assimilate_observation(ensemble, obs)
-        estimate = estimate_v(ensemble)
-        trace.estimates.append(estimate)
+        trace.estimates.append(estimate_v(ensemble))
         trace.map_states.append(online_map_world_state(ensemble, t))
-        if v_true is not None:
-            trace.mse.append(meta_mse(v_true, estimate))
     return trace
 
 

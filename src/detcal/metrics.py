@@ -1,13 +1,16 @@
 """Evaluation quantities: estimate error, exact-match accuracy, noise curves.
 
-All functions are pure and order-independent, so per-run evaluations can be
-computed in parallel and reduced in any order.
+All functions are pure. They score, they do not store: the one per-run
+record is ``experiment.RunResult``. ``evaluate_run`` fills its rate errors
+(``meta_mse``) and noise levels (``observation_noise``), and ``report``
+scores its MAP states (``world_state_accuracy``) and pools those scores
+by noise (``rolling_accuracy_by_noise``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,22 +54,6 @@ def observation_noise(w_true: WorldState, observation, num_categories: int) -> f
     return float(disagreements.sum() / (stats.frame_count * num_categories))
 
 
-@dataclass
-class RunEvaluation:
-    """Per-observation scores of one run, keyed by model identifier."""
-
-    run_id: str
-    zeta: list
-    accuracy: dict = field(default_factory=dict)   # model -> list of 0/1
-    mse_fa: list | None = None                     # index 0 = prior estimate
-    mse_miss: list | None = None
-    mse_combined: list | None = None
-
-    @property
-    def models(self):
-        return tuple(self.accuracy.keys())
-
-
 @dataclass(frozen=True)
 class NoiseWindowPoint:
     """Mean accuracy per model over one noise window, with its sample count."""
@@ -83,21 +70,21 @@ def default_noise_grid() -> np.ndarray:
     return np.round(np.arange(0, 101) * 0.01, 2)
 
 
-def rolling_accuracy_by_noise(evaluations) -> list:
+def rolling_accuracy_by_noise(zeta, bits: dict) -> list:
     """Accuracy as a function of observation noise, in closed rolling windows.
 
-    For each grid point z, averages each model's accuracy bits over the
-    observations whose noise lies in [z - h, z + h], with h the
-    NOISE_WINDOW_HALFWIDTH. Grid points with an empty window are omitted;
-    counts are reported so sparse windows are visible downstream.
+    ``zeta`` holds the noise of each observation and ``bits`` maps each
+    model to its 0/1 scores of the same observations, in the same order.
+    For each grid point z, averages each model's bits over the observations
+    whose noise lies in [z - h, z + h], with h the NOISE_WINDOW_HALFWIDTH.
+    Grid points with an empty window are omitted; counts are reported so
+    sparse windows are visible downstream.
     """
-    evaluations = list(evaluations)
-    if not evaluations:
-        raise ValueError("no evaluations given")
-    models = list(evaluations[0].accuracy.keys())
-    zeta = np.concatenate([np.asarray(e.zeta, dtype=np.float64) for e in evaluations])
-    bits = {m: np.concatenate([np.asarray(e.accuracy[m], dtype=np.float64)
-                               for e in evaluations]) for m in models}
+    zeta = np.asarray(zeta, dtype=np.float64)
+    if not zeta.size:
+        raise ValueError("no observations given")
+    models = list(bits)
+    bits = {m: np.asarray(bits[m], dtype=np.float64) for m in models}
     points = []
     h = NOISE_WINDOW_HALFWIDTH
     for z in default_noise_grid():

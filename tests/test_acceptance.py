@@ -41,7 +41,7 @@ from detcal.inference import (
     retrospective_infer,
 )
 from detcal.metrics import chance_accuracy, meta_mse, observation_noise, \
-    rolling_accuracy_by_noise
+    rolling_accuracy_by_noise, world_state_accuracy
 from detcal.experiment import (
     ExperimentConfig,
     MODEL_FIXED_PRIOR,
@@ -76,7 +76,6 @@ class DeskRun:
     accuracy_by_t: dict   # t -> {model: acc}
     summary: dict         # row name -> (accuracy, theta)
     results: list         # RunResult per run
-    evaluations: list
 
 
 def _read_csv(path):
@@ -111,13 +110,9 @@ def _read_desk(results: Path, config: ExperimentConfig, tag: str) -> DeskRun:
     for row in _read_csv(tables["summary"]):
         theta = float(row["theta"]) if row["theta"] else None
         summary[row["model"]] = (float(row["accuracy"]), theta)
-    run_results = list(read_results(results))
-    evaluations = [r.evaluation((MODEL_ONLINE, MODEL_RETRO, MODEL_THRESHOLD,
-                                 MODEL_FIXED_PRIOR))
-                   for r in run_results]
     return DeskRun(config=config, results_path=results, mse_by_t=mse_by_t,
                    accuracy_by_t=accuracy_by_t, summary=summary,
-                   results=run_results, evaluations=evaluations)
+                   results=list(read_results(results)))
 
 
 @pytest.fixture(scope="session")
@@ -383,15 +378,16 @@ class TestCriterion4FittedThreshold:
 
 class TestCriterion5NoiseRegime:
     def test_noise_windows(self, desk):
-        points = rolling_accuracy_by_noise(desk.evaluations)
+        zeta = np.array([z for r in desk.results for z in r.zeta])
+        bits = {m: np.array([world_state_accuracy(w, s) for r in desk.results
+                             for w, s in zip(r.world_states, r.maps[m])])
+                for m in (MODEL_RETRO, MODEL_THRESHOLD)}
+        points = rolling_accuracy_by_noise(zeta, bits)
         gaps = [(p.zeta, p.accuracy[MODEL_RETRO] - p.accuracy[MODEL_THRESHOLD])
                 for p in points if 0.25 <= p.zeta <= 0.45]
         peak_zeta, peak_gap = max(gaps, key=lambda zg: zg[1])
-        zeta = np.concatenate([np.asarray(e.zeta) for e in desk.evaluations])
-        bits = np.concatenate([np.asarray(e.accuracy[MODEL_THRESHOLD])
-                               for e in desk.evaluations])
         low = zeta <= 0.15
-        low_acc = float(bits[low].mean())
+        low_acc = float(bits[MODEL_THRESHOLD][low].mean())
         _verdict(5, "noise regime", [
             (f"peak gap {peak_gap:.3f} at zeta={peak_zeta:.2f} >= 0.25",
              peak_gap >= 0.25),

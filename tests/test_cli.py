@@ -81,12 +81,13 @@ class TestRun:
         ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
         assert ids == ["run-00001", "run-00002"]
 
-    def test_header_that_is_not_an_object_exit_3(self, tmp_path):
+    def test_header_that_is_not_an_object_exit_3(self, tmp_path, caplog):
         corpus = synth(tmp_path)
         lines = corpus.read_text().splitlines()
         corpus.write_text("\n".join(["[1]"] + lines[1:]) + "\n")
         assert main(["run", str(corpus), "--out", str(tmp_path / "r.jsonl"),
                      *SMALL]) == EXIT_INPUT
+        assert f"{corpus} line 1" in caplog.text
 
     def test_run_record_that_is_not_an_object_skipped(self, tmp_path, caplog):
         corpus = synth(tmp_path)
@@ -109,14 +110,16 @@ class TestRun:
                                         if k != "beta_beta"}}
         not_a_count = {**header, "num_categories": "5"}
         a_boolean = {**header, "num_categories": True}
+        no_schema = {"record": "corpus"}
         for bad, key in ((no_prior, "prior"), (no_count, "num_categories"),
                          (no_field, "beta_beta"), (not_a_count, "num_categories"),
-                         (a_boolean, "num_categories")):
+                         (a_boolean, "num_categories"), (no_schema, "schema_version")):
             corpus.write_text("\n".join([json.dumps(bad)] + lines[1:]) + "\n")
             caplog.clear()
             assert main(["run", str(corpus), "--out", str(tmp_path / "r.jsonl"),
                          *SMALL]) == EXIT_INPUT
             assert key in caplog.text
+            assert f"{corpus} line 1" in caplog.text
 
     def test_run_record_with_a_category_index_beyond_c_skipped(self, tmp_path, caplog):
         corpus = tmp_path / "c.jsonl"
@@ -389,13 +392,14 @@ class TestIngest:
         assert len(head["v_hat"]) == 6
         assert all(0.0 < x < 1.0 for x in head["v_hat"])
 
-    def test_unknown_label_exit_3(self, tmp_path, capsys):
+    def test_unknown_label_exit_3(self, tmp_path, caplog):
         percepts = tmp_path / "p.jsonl"
         percepts.write_text(
             '{"observation_id":"clip","frame_index":0,"labels":["truck"]}\n')
         code = main(["ingest", str(percepts), "--out", str(tmp_path / "o.jsonl"),
                      "--vocab", "a,b"])
         assert code == EXIT_INPUT
+        assert f"{percepts} line 1: unknown label 'truck'" in caplog.text
 
     def test_boolean_frame_index_exit_3(self, tmp_path):
         percepts = tmp_path / "p.jsonl"
@@ -421,3 +425,38 @@ class TestIngest:
         percepts.write_text('{"observation_id":"x","frame_index":0,"labels":["a"]}\n')
         assert main(["ingest", str(percepts), "--out", str(tmp_path / "o.jsonl"),
                      "--vocab", "a,a"]) == EXIT_CONFIG
+
+    def test_failed_write_leaves_no_partial_pair(self, tmp_path, monkeypatch):
+        corpus = synth(tmp_path)
+        vocab = default_vocabulary(5)
+        percepts = tmp_path / "percepts.jsonl"
+        write_percepts(percepts, next(read_corpus(corpus).runs).observations, vocab)
+        out = tmp_path / "inf.jsonl"
+        manifest = out.with_name("inf.jsonl.manifest.json")
+        argv = ["ingest", str(percepts), "--out", str(out), "--vocab", ",".join(vocab),
+                "--particles", "15"]
+        dumps = json.dumps
+        calls = []
+
+        def dumps_failing_at_the_5th_row(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 6:
+                raise OSError("No space left on device")
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps_failing_at_the_5th_row)
+        assert main(argv) == EXIT_IO
+        assert len(calls) == 6
+        assert not out.exists() and not manifest.exists()
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith("inf")] == []
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        assert main(argv) == EXIT_OK
+        before = out.read_bytes(), manifest.read_bytes()
+        assert len(before[0].splitlines()) == 7
+        calls.clear()
+        monkeypatch.setattr(json, "dumps", dumps_failing_at_the_5th_row)
+        assert main(argv) == EXIT_IO
+        assert (out.read_bytes(), manifest.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("inf")) == \
+            ["inf.jsonl", "inf.jsonl.manifest.json"]

@@ -120,8 +120,9 @@ class TestCorpusFile:
         lines = path.read_text().splitlines()
         lines[2] = "{this is not json"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError, match="line 3"):
+        with pytest.raises(CorpusFormatError, match="line 3") as exc:
             list(read_corpus(path).runs)
+        assert str(exc.value).startswith(f"{path} line 3: bad run record")
 
     def test_missing_header_is_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

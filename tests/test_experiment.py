@@ -283,6 +283,40 @@ class TestReport:
         for model in ALL_MODELS:
             assert float(rows[model][1]) == 1.0
 
+    def test_runs_of_different_lengths_average_where_they_reach(self, tmp_path):
+        paths = []
+        for length in (4, 6):
+            config = small_config(world_states_per_system=length)
+            synth_command(config, tmp_path / f"corpus{length}.jsonl")
+            paths.append(tmp_path / f"results{length}.jsonl")
+            run_command(config, tmp_path / f"corpus{length}.jsonl", paths[-1])
+        runs = [r for path in paths for r in read_results(path)]
+        tables = report_command(paths, tmp_path / "report")
+
+        def rows(name):
+            lines = tables[name].read_text().splitlines()
+            return [dict(zip(lines[0].split(","), map(float, line.split(","))))
+                    for line in lines[1:]]
+
+        mse = rows("mse_by_observation")
+        assert [row["observation_index"] for row in mse] == list(range(7))
+        for row in mse:
+            t = int(row["observation_index"])
+            reach = [r for r in runs if len(r.mse_fa) > t]
+            assert row["run_count"] == len(reach) == (6 if t <= 4 else 3)
+            for key in ("mse_fa", "mse_miss", "mse_combined"):
+                expected = np.mean([getattr(r, key)[t] for r in reach])
+                assert row[key] == pytest.approx(expected, rel=1e-12)
+        accuracy = rows("accuracy_by_observation")
+        assert [row["observation_index"] for row in accuracy] == list(range(1, 7))
+        for row in accuracy:
+            t = int(row["observation_index"]) - 1
+            reach = [r for r in runs if r.num_observations > t]
+            assert row["run_count"] == len(reach) == (6 if t < 4 else 3)
+            for m in ALL_MODELS:
+                expected = np.mean([r.maps[m][t] == r.world_states[t] for r in reach])
+                assert row[m] == pytest.approx(expected, rel=1e-12)
+
     def test_aggregation_is_permutation_invariant(self, small_results, tmp_path):
         _, _, results = small_results
         records = results.read_text().splitlines()

@@ -17,6 +17,7 @@ from detcal.core import (
     state_log_predictive,
 )
 from detcal.dataset import synthesize_run
+from detcal.metrics import meta_mse
 from detcal.inference import (
     Particle,
     ParticleFilterConfig,
@@ -372,11 +373,10 @@ class TestRunFilterDeterminism:
     def test_trace_is_a_pure_function_of_seed(self, rng):
         prior, observations = random_instance(rng, 3, n_obs=5)
         cfg = ParticleFilterConfig(num_particles=30, seed=7)
-        v = VisualSystem(fa=np.full(3, 0.15), miss=np.full(3, 0.1))
-        a = run_filter(observations, cfg, prior, 3, v_true=v)
-        b = run_filter(observations, cfg, prior, 3, v_true=v)
+        a = run_filter(observations, cfg, prior, 3)
+        b = run_filter(observations, cfg, prior, 3)
         assert a.map_states == b.map_states
-        assert a.mse == b.mse
+        assert len(a.estimates) == len(b.estimates) == 5
         for ea, eb in zip(a.estimates, b.estimates):
             assert np.array_equal(ea.as_flat(), eb.as_flat())
 
@@ -385,7 +385,6 @@ class TestRunFilterDeterminism:
         cfg = ParticleFilterConfig(num_particles=20, seed=1)
         trace = run_filter(observations, cfg, prior, 3)
         assert len(trace.estimates) == 4 and len(trace.map_states) == 4
-        assert trace.mse is None
         assert trace.final_estimate is trace.estimates[-1]
 
 
@@ -397,11 +396,11 @@ class TestLearning:
         initial, first, last = [], [], []
         for i in range(12):
             run = synthesize_run(prior, 5, 30, np.random.default_rng(1000 + i))
-            trace = run_filter(run.observations, cfg, prior, 5, v_true=run.v_true,
+            trace = run_filter(run.observations, cfg, prior, 5,
                                rng=np.random.default_rng(2000 + i))
-            initial.append(trace.initial_mse[0])
-            first.append(trace.mse[0][0])
-            last.append(trace.mse[-1][0])
+            initial.append(meta_mse(run.v_true, trace.initial_estimate)[0])
+            first.append(meta_mse(run.v_true, trace.estimates[0])[0])
+            last.append(meta_mse(run.v_true, trace.estimates[-1])[0])
         # before any data the estimate error sits at the prior variance
         assert abs(np.mean(initial) - prior.rate_variance) < 0.004
         assert np.mean(last) < 0.5 * np.mean(first)
@@ -652,9 +651,10 @@ class TestFilterAboveTheEnumerationLimit:
         prior = PriorConfig()
         cfg = ParticleFilterConfig(seed=4)
         run = synthesize_run(prior, 16, 20, np.random.default_rng(16))
-        a = run_filter(run.observations, cfg, prior, 16, v_true=run.v_true)
-        b = run_filter(run.observations, cfg, prior, 16, v_true=run.v_true)
-        assert a.map_states == b.map_states and a.mse == b.mse
+        a = run_filter(run.observations, cfg, prior, 16)
+        b = run_filter(run.observations, cfg, prior, 16)
+        assert a.map_states == b.map_states
+        assert len(a.estimates) == len(b.estimates) == 20
         for ea, eb in zip(a.estimates, b.estimates):
             assert np.array_equal(ea.as_flat(), eb.as_flat())
         assert all(1 <= len(w) <= 5 for w in a.map_states)

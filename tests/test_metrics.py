@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from detcal.core import Observation, VisualSystem
 from detcal.metrics import (
-    RunEvaluation,
     chance_accuracy,
     meta_mse,
     observation_noise,
@@ -84,29 +83,24 @@ class TestObservationNoise:
 
 class TestRollingAccuracy:
     def test_noiseless_corpus_pins_the_zero_window(self):
-        evals = [RunEvaluation(run_id="r", zeta=[0.0, 0.0],
-                               accuracy={"a": [1, 1], "b": [1, 1]})]
-        points = rolling_accuracy_by_noise(evals)
+        points = rolling_accuracy_by_noise([0.0, 0.0], {"a": [1, 1], "b": [1, 1]})
         assert points[0].zeta == 0.0
         assert points[0].accuracy == {"a": 1.0, "b": 1.0}
         assert points[0].count == 2
 
     def test_windows_are_closed_and_counted(self):
-        evals = [RunEvaluation(run_id="r", zeta=[0.10, 0.20],
-                               accuracy={"m": [1, 0]})]
-        points = {p.zeta: p for p in rolling_accuracy_by_noise(evals)}
+        points = {p.zeta: p for p in rolling_accuracy_by_noise([0.10, 0.20], {"m": [1, 0]})}
         # zeta=0.15 window [0.10, 0.20] catches both ends exactly
         assert points[0.15].count == 2
         assert points[0.15].accuracy["m"] == 0.5
 
     def test_empty_windows_are_omitted(self):
-        evals = [RunEvaluation(run_id="r", zeta=[0.0], accuracy={"m": [1]})]
-        zetas = [p.zeta for p in rolling_accuracy_by_noise(evals)]
+        zetas = [p.zeta for p in rolling_accuracy_by_noise([0.0], {"m": [1]})]
         assert 0.5 not in zetas and max(zetas) == pytest.approx(0.05)
 
     def test_requires_evaluations(self):
         with pytest.raises(ValueError):
-            rolling_accuracy_by_noise([])
+            rolling_accuracy_by_noise([], {"m": []})
 
 
 class TestChanceAccuracy:
