@@ -4,7 +4,7 @@ Thresholding declares a category present when it shows up in a large enough
 fraction of frames. The fixed-prior model runs the same exact MAP state
 inference as the retrospective pass, but with every rate pinned at the
 Beta prior's point estimate, so it has an error model without ever
-learning one.
+learning one; its rates are equal, so bit order breaks its ties.
 """
 
 from __future__ import annotations

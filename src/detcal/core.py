@@ -353,6 +353,16 @@ class StateSpace:
         return len(self.states)
 
 
+def pinned_terms(counts, frame_count, fa, miss):
+    """(present, absent) log-likelihoods, (..., C) each, of k reports in F
+    frames at point rates: k*log(1-M) + (F-k)*log(M) and k*log(FA) +
+    (F-k)*log(1-FA), with 0*log(0) = 0, so -inf only where the rates forbid."""
+    k = np.asarray(counts, dtype=np.float64)
+    rest = np.asarray(frame_count, dtype=np.float64)[..., None] - k
+    return (xlogy(k, 1.0 - miss) + xlogy(rest, miss),
+            xlogy(k, fa) + xlogy(rest, 1.0 - fa))
+
+
 def state_log_joint(counts, frame_count, fa, miss, space: StateSpace) -> np.ndarray:
     """log [ P(observation | w, fa, miss) * P(w) ] over the enumerated support.
 
@@ -361,16 +371,11 @@ def state_log_joint(counts, frame_count, fa, miss, space: StateSpace) -> np.ndar
     ``miss`` (..., C), so a leading particle axis, an observation axis or
     both give one row of S states per combination.
 
-    Per state, each present category contributes k*log(1-M) + (F-k)*log(M)
-    and each absent one k*log(FA) + (F-k)*log(1-FA); 0*log(0) counts as 0,
-    contradictions give -inf. Degenerate rates can put -inf in the
-    per-category terms, which the plain matrix product would turn into NaN
-    (0 * -inf); those entries are handled exactly by masking.
+    Per state, each category contributes its ``pinned_terms`` entry. The
+    -inf entries of degenerate rates, which the plain matrix product would
+    turn into NaN (0 * -inf), are handled exactly by masking.
     """
-    k = np.asarray(counts, dtype=np.float64)
-    rest = np.asarray(frame_count, dtype=np.float64)[..., None] - k
-    pres_term = xlogy(k, 1.0 - miss) + xlogy(rest, miss)
-    abs_term = xlogy(k, fa) + xlogy(rest, 1.0 - fa)
+    pres_term, abs_term = pinned_terms(counts, frame_count, fa, miss)
     if np.isfinite(pres_term).all() and np.isfinite(abs_term).all():
         return _over_states(pres_term, abs_term, space)
     out = (np.where(np.isfinite(pres_term), pres_term, 0.0) @ space.presence.T
@@ -446,13 +451,12 @@ def observation_log_likelihood(stats: DetectionStats, world: WorldState,
 
     Equals the log of the product over all F percepts of the per-percept
     probability: present categories are detected with probability
-    1 - miss, absent ones with fa; 0*log(0) counts as 0, and impossible
-    count patterns under degenerate rates give -inf.
+    1 - miss, absent ones with fa (``pinned_terms``); impossible count
+    patterns under degenerate rates give -inf.
     """
     if stats.num_categories != system.num_categories:
         raise ValueError("stats and system disagree on the number of categories")
     present = np.zeros(system.num_categories, dtype=bool)
     present[sorted(world)] = True
-    k = stats.counts.astype(np.float64)
-    p_detect = np.where(present, 1.0 - system.miss, system.fa)
-    return float((xlogy(k, p_detect) + xlogy(stats.frame_count - k, 1.0 - p_detect)).sum())
+    terms = pinned_terms(stats.counts, stats.frame_count, system.fa, system.miss)
+    return float(np.where(present, *terms).sum())

@@ -14,6 +14,7 @@ show the same scene, which is the caller's responsibility to guarantee.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,6 +188,21 @@ def text_lines(path, error):
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def write_whole(path: Path, chunks) -> None:
+    """Replace ``path`` whole with the text ``chunks`` yield, streamed to a
+    temp file beside it that is fsynced and renamed into place; if the write
+    fails the temp file is removed and ``path`` is left as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def corpus_header(prior: PriorConfig, num_categories: int, num_systems: int,
                   world_states_per_system: int, root_seed: int) -> dict:
     return {
@@ -208,18 +224,22 @@ def corpus_header(prior: PriorConfig, num_categories: int, num_systems: int,
 
 def write_corpus(path, prior: PriorConfig, num_categories: int, num_systems: int,
                  root_seed: int, world_states_per_system: int = 75) -> None:
-    """Synthesize and stream a corpus to disk, one run per line."""
+    """Synthesize and stream a corpus to disk whole, one run per line."""
     path = Path(path)
     header = corpus_header(prior, num_categories, num_systems,
                            world_states_per_system, root_seed)
     index = -1
+
+    def lines():
+        nonlocal index
+        yield _dump(header) + "\n"
+        for index, run in enumerate(synthesize_corpus(
+                num_systems, prior, num_categories, root_seed,
+                world_states_per_system)):
+            yield _dump(run.to_record()) + "\n"
+
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_dump(header) + "\n")
-            for index, run in enumerate(synthesize_corpus(
-                    num_systems, prior, num_categories, root_seed,
-                    world_states_per_system)):
-                fh.write(_dump(run.to_record()) + "\n")
+        write_whole(path, lines())
     except OSError as exc:
         raise OSError(f"corpus write failed at run index {index + 1}: {exc}") from exc
 

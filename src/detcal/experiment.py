@@ -14,7 +14,6 @@ import hashlib
 import json
 import logging
 import multiprocessing
-import os
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .dataset import (
     parse_record,
     read_corpus,
     text_lines,
+    write_whole,
 )
 from .inference import ParticleFilterConfig, retrospective_infer, run_filter
 from .metrics import (
@@ -320,28 +320,10 @@ def _manifest_path(path) -> Path:
     return Path(str(path) + ".manifest.json")
 
 
-def _write_whole(path: Path, chunks) -> None:
-    """Replace ``path`` whole with the text ``chunks`` hold.
-
-    The chunks go to a temp file beside it, which is fsynced and renamed
-    into place; if the write fails the temp file is removed and ``path``
-    is left as it was.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def write_manifest(path, payload: dict) -> None:
     """Replace the manifest of ``path`` whole, so it is never left partial."""
-    _write_whole(_manifest_path(path),
-                 [json.dumps(payload, indent=2, sort_keys=True), "\n"])
+    write_whole(_manifest_path(path),
+                [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
 def read_manifest(path) -> dict | None:
@@ -384,7 +366,7 @@ def synth_command(config: ExperimentConfig, out_path) -> None:
 def _iter_corpus_lines(path):
     for lineno, line in enumerate(text_lines(path, InputError), start=1):
         if lineno > 1 and line.strip():
-            yield line
+            yield lineno, line
 
 
 _worker_config: ExperimentConfig | None = None
@@ -397,11 +379,11 @@ def _worker_init(config: ExperimentConfig) -> None:
 
 def _worker_evaluate(task):
     """(chunk, None) on success; (None, reason) for a corrupted record."""
-    index, line = task
+    index, (lineno, line) = task
     try:
         run = Run.from_record(parse_record(line, "run"), _worker_config.num_categories)
     except (ValueError, KeyError, TypeError) as exc:
-        return None, f"corpus record at position {index}: {exc}"
+        return None, f"line {lineno}: bad run record ({exc})"
     result = evaluate_run(run, _worker_config, index)
     return result_chunk(result), None
 
@@ -429,7 +411,7 @@ def _position_after(corpus_path, run_id: str | None) -> int:
     """Corpus position right after the given run_id (0 when None)."""
     if run_id is None:
         return 0
-    for index, line in enumerate(_iter_corpus_lines(corpus_path)):
+    for index, (_, line) in enumerate(_iter_corpus_lines(corpus_path)):
         try:
             if parse_record(line, "run").get("run_id") == run_id:
                 return index + 1
@@ -453,7 +435,7 @@ def run_command(config: ExperimentConfig, corpus_path, out_path):
     single writer appends chunks in corpus order, so output bytes do not
     depend on the worker count. A rerun, at any worker count, keeps fully
     written runs and continues after the last one; corrupted corpus records
-    are skipped with their position logged.
+    are skipped with their corpus line logged.
     """
     corpus_path = Path(corpus_path)
     out_path = Path(out_path)
@@ -494,7 +476,7 @@ def run_command(config: ExperimentConfig, corpus_path, out_path):
         logger.info("resuming: %d runs already complete", done)
     write_manifest(out_path, manifest)
 
-    tasks = ((i, line) for i, line in enumerate(_iter_corpus_lines(corpus_path))
+    tasks = ((i, numbered) for i, numbered in enumerate(_iter_corpus_lines(corpus_path))
              if i >= start)
     mode = "r+b" if out_path.exists() else "wb"
     computed = 0
@@ -509,7 +491,7 @@ def run_command(config: ExperimentConfig, corpus_path, out_path):
             for chunk, error in outcomes:
                 if error is not None:
                     skipped += 1
-                    logger.error("skipping %s", error)
+                    logger.error("skipping %s %s", corpus_path, error)
                     continue
                 fh.write(chunk.encode("utf-8"))
                 computed += 1
@@ -565,8 +547,8 @@ def ingest_command(config: ExperimentConfig, percepts_path, vocabulary,
              "retrospective_map": sorted(state),
              "retrospective_map_mass": mass}
             for t, ((obs_id, _), (state, mass)) in enumerate(zip(groups, retro))]
-    _write_whole(out_path, (json.dumps(rec, separators=(",", ":")) + "\n"
-                            for rec in [head, *rows]))
+    write_whole(out_path, (json.dumps(rec, separators=(",", ":")) + "\n"
+                           for rec in [head, *rows]))
     write_manifest(out_path, {
         "kind": "inferences",
         "schema_version": SCHEMA_VERSION,

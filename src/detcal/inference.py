@@ -16,7 +16,8 @@ step. Above it the predictive, given a particle's counts, factors over
 categories into odds o_j = L1_j / L0_j, so the states are summed out with
 elementary symmetric polynomials e_n(o) (Chen, Dempster & Liu 1994) at
 O(M*C*hi) per step; the online MAP is then the best of the particles' own
-MAP states under the mixture.
+MAP states under the mixture. The retrospective readout uses these sums at
+every count, so only this filter and ``rejuvenate`` enumerate states.
 
 ``rejuvenate`` runs one Metropolis-Hastings sweep over a single particle's
 point rates against its full observation history, with the states summed
@@ -27,6 +28,7 @@ per-particle view for inspection.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,7 @@ from .core import (
     beta_log_density,
     beta_predictive_terms,
     count_log_prior,
+    pinned_terms,
     state_log_joint,
     state_log_predictive,
     truncated_normal_log_normalizer,
@@ -221,23 +224,26 @@ def init_ensemble(config: ParticleFilterConfig, prior: PriorConfig,
 # ---------------------------------------------------------------------------
 
 class SceneSums:
-    """Each particle's state posterior, summed over states without enumerating.
+    """Each row's state posterior, summed over states without enumerating.
 
-    Given a particle's Beta counts the predictive of a state w is
-    prod_{j in w} L1_j * prod_{j not in w} L0_j * d(n) / C(C, n), with n = |w|
-    and d the object-count prior. With odds o_j = L1_j / L0_j it is
-    prod_j L0_j * d(n) / C(C, n) * prod_{j in w} o_j, so the predictive sums to
-    prod_j L0_j * sum_n d(n) / C(C, n) * e_n(o), where e_n is the n-th
-    elementary symmetric polynomial of the odds (a conditional-Bernoulli
-    model; Chen, Dempster & Liu 1994). ``table[:, j, n]`` holds log e_n of
-    the first j odds, from the recursion
-    E[j, n] = logaddexp(E[j-1, n], log o_j + E[j-1, n-1]).
+    Given a row's terms (a particle's Beta counts or an observation's pinned
+    rates) the joint of a state w is prod_{j in w} L1_j * prod_{j not in w}
+    L0_j * d(n) / C(C, n), with n = |w| and d the object-count prior. With
+    odds o_j = L1_j / L0_j it is prod_j L0_j * d(n) / C(C, n) * prod_{j in w}
+    o_j, so the joint sums to prod_j L0_j * sum_n d(n) / C(C, n) * e_n(o),
+    where e_n is the n-th elementary symmetric polynomial of the odds (a
+    conditional-Bernoulli model; Chen, Dempster & Liu 1994). ``table[:, j, n]``
+    holds log e_n of the first j odds, from the recursion
+    E[j, n] = logaddexp(E[j-1, n], log o_j + E[j-1, n-1]). Rates of 0 or 1
+    can zero L1_j (o_j = 0) or L0_j, which ``forced`` j present: it is left
+    out of the sums and takes one of the n objects.
     """
 
     def __init__(self, pres_term, abs_term, prior: PriorConfig):
         m, c = pres_term.shape
-        self.lo, self.hi = prior.count_bounds
-        self.log_odds = pres_term - abs_term
+        self.lo, self.hi = prior.count_bounds[0], min(prior.count_bounds[1], c)
+        self.forced = np.isneginf(abs_term)
+        self.log_odds = pres_term - np.where(self.forced, np.inf, abs_term)
         self.log_size = count_log_prior(prior, c)     # (hi - lo + 1,)
         table = np.full((m, c + 1, self.hi + 1), -np.inf)
         table[:, :, 0] = 0.0
@@ -245,14 +251,19 @@ class SceneSums:
             table[:, j, 1:] = np.logaddexp(table[:, j - 1, 1:],
                                            self.log_odds[:, j - 1, None] + table[:, j - 1, :-1])
         self.table = table
-        # log [d(n) / C(C, n) * e_n(o)] per particle and object count n
-        self.log_by_size = self.log_size + table[:, c, self.lo:]
+        # log [d(n) / C(C, n) * e_{n-p}(o)] per row and object count n
+        self.log_by_size = self.log_size + self._by_size(table[:, c])
         self.log_norm = logsumexp(self.log_by_size, axis=1)
-        self.log_evidence = abs_term.sum(axis=1) + self.log_norm
+        self.log_evidence = self.log_norm + np.where(self.forced, pres_term, abs_term).sum(1)
+
+    def _by_size(self, values: np.ndarray) -> np.ndarray:
+        """values[m, n - p] for n = lo..hi and p forced in row m; -inf for n < p."""
+        free = np.arange(self.lo, self.hi + 1) - self.forced.sum(axis=1)[:, None]
+        return np.where(free < 0, -np.inf, np.take_along_axis(values, np.maximum(free, 0), 1))
 
     def reorder(self, idx: np.ndarray) -> None:
         """Follow a resample: row m now holds ancestor idx[m]'s sums."""
-        for name in ("log_odds", "table", "log_by_size", "log_norm", "log_evidence"):
+        for name in ("forced", "log_odds", "table", "log_by_size", "log_norm", "log_evidence"):
             setattr(self, name, getattr(self, name)[idx])
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
@@ -276,19 +287,26 @@ class SceneSums:
             left = left - take
         return present
 
-    def map_states(self) -> np.ndarray:
-        """(M, C) presence masks of each particle's most probable state.
+    def map_states(self):
+        """(M, C) masks of each row's most probable state, and (M,) log masses.
 
-        For each count n the best state holds the n largest odds; among
-        equal odds the later category wins, and among equal scores the
-        smaller count, so ties go to the first state in bit order.
+        For each count n the best state holds the forced categories and the
+        largest other odds; among equal odds the later category wins, and
+        among equal scores the smaller count, so ties go to the first state
+        in bit order. A row no state explains gets the first state, mass 1/S.
         """
         m, c = self.log_odds.shape
         order = c - 1 - np.argsort(-self.log_odds[:, ::-1], axis=1, kind="stable")
         top = np.take_along_axis(self.log_odds, order, axis=1)
         prefix = np.concatenate([np.zeros((m, 1)), np.cumsum(top, axis=1)], axis=1)
-        n = self.lo + np.argmax(self.log_size + prefix[:, self.lo:self.hi + 1], axis=1)
-        return np.argsort(order, axis=1) < n[:, None]
+        scores = self.log_size + self._by_size(prefix)
+        free = self.lo + np.argmax(scores, axis=1) - self.forced.sum(axis=1)
+        present = self.forced | (np.argsort(order, axis=1) < free[:, None])
+        stuck = np.isneginf(self.log_evidence)
+        present[stuck] = np.arange(c) >= c - self.lo
+        size = sum(math.comb(c, n) for n in range(self.lo, self.hi + 1))
+        return present, np.subtract(scores.max(axis=1), self.log_norm,
+                                    out=np.full(m, -math.log(size)), where=~stuck)
 
     def log_posterior(self, present: np.ndarray) -> np.ndarray:
         """(K, M) log posterior of each of K states (presence masks) per particle."""
@@ -441,7 +459,7 @@ def _learning_step(ens: ParticleEnsemble, stats: DetectionStats) -> None:
                                                 ens.b_fa, ens.a_miss, ens.b_miss), ens.prior)
         ens.log_weights += sums.log_evidence
         # the mixture's best among the particles' own MAP states, in bit order
-        candidates = np.unique(sums.map_states(), axis=0)
+        candidates = np.unique(sums.map_states()[0], axis=0)
         mixture = np.exp(sums.log_posterior(candidates)) @ ens.weights
         best = candidates[int(np.argmax(mixture))]
         ens._maps.append(frozenset(np.flatnonzero(best).tolist()))
@@ -522,20 +540,18 @@ def retrospective_map_with_mass(v_mu: MetaEstimate, observations,
                                 prior: PriorConfig, num_categories: int):
     """Exact per-observation MAP states under a fixed rate estimate.
 
-    With the rates pinned the world states decouple across observations, so
-    each is scored against every enumerated state. Returns (state,
-    posterior mass of that state) pairs; ties go to the first state in
-    bit-vector order.
+    With the rates pinned the states decouple across observations, and
+    ``SceneSums`` reads them all out at once. Returns (state, its posterior
+    mass) pairs. Bit order breaks ties between bit-identical log odds, as
+    under equal rates; ties exact only in real arithmetic, such as one
+    across object counts at lambda=1, fall to rounding, as under enumeration.
     """
-    space = StateSpace.build(prior, num_categories)
-    out = []
-    for obs in observations:
-        stats = DetectionStats.from_observation(obs, num_categories)
-        lj = state_log_joint(stats.counts, stats.frame_count, v_mu.fa, v_mu.miss, space)
-        post = _softmax_rows(lj[None, :])[0]
-        best = int(np.argmax(post))
-        out.append((space.states[best], float(post[best])))
-    return out
+    stats = [DetectionStats.from_observation(o, num_categories) for o in observations]
+    terms = pinned_terms(np.array([s.counts for s in stats]).reshape(-1, num_categories),
+                         np.array([s.frame_count for s in stats]), v_mu.fa, v_mu.miss)
+    present, log_mass = SceneSums(*terms, prior).map_states()
+    return [(frozenset(np.flatnonzero(p).tolist()), float(np.exp(lm)))
+            for p, lm in zip(present, log_mass)]
 
 
 def retrospective_infer(v_mu: MetaEstimate, observations, prior: PriorConfig,

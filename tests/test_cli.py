@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from detcal.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_OK, main
-from detcal.dataset import default_vocabulary, read_corpus, write_percepts
+from detcal.core import PriorConfig
+from detcal.dataset import default_vocabulary, read_corpus, synthesize_run, write_percepts
 
 SMALL = ["--systems", "3", "--world-states", "6", "--particles", "15", "--seed", "5"]
 
@@ -52,6 +54,28 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path / "c.jsonl"),
                      "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_failed_write_leaves_the_earlier_corpus(self, tmp_path, monkeypatch, caplog):
+        corpus = synth(tmp_path)
+        manifest = corpus.with_name("corpus.jsonl.manifest.json")
+        before = corpus.read_bytes(), manifest.read_bytes()
+        dumps = json.dumps
+        calls = []
+
+        def dumps_failing_at_the_4th_run(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:  # the header, then runs 1 to 4
+                raise OSError("No space left on device")
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps_failing_at_the_4th_run)
+        assert main(["synth", "--out", str(corpus), *SMALL, "--systems", "6",
+                     "--seed", "6"]) == EXIT_IO
+        assert len(calls) == 5
+        assert "corpus write failed at run index 4" in caplog.text
+        assert (corpus.read_bytes(), manifest.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["corpus.jsonl", "corpus.jsonl.manifest.json"]
+
     @pytest.mark.parametrize("flag, key", [("--enumeration-limit", "enumeration_limit"),
                                            ("--sweeps", "sweeps"),
                                            ("--proposal-sigma", "proposal_sigma"),
@@ -96,7 +120,7 @@ class TestRun:
         corpus.write_text("\n".join(lines) + "\n")
         out = tmp_path / "r.jsonl"
         assert main(["run", str(corpus), "--out", str(out), *SMALL]) == EXIT_INPUT
-        assert "position 1" in caplog.text
+        assert f"{corpus} line 3: bad run record" in caplog.text
         ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
         assert ids == ["run-00000", "run-00002"]
 
@@ -133,7 +157,7 @@ class TestRun:
         out = tmp_path / "r.jsonl"
         assert main(["run", str(corpus), "--out", str(out), "--particles", "15"]) \
             == EXIT_INPUT
-        assert "position 0" in caplog.text and "9" in caplog.text
+        assert f"{corpus} line 2" in caplog.text and "9" in caplog.text
         ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
         assert ids == ["run-00001"]
 
@@ -150,7 +174,7 @@ class TestRun:
         out = tmp_path / "r.jsonl"
         assert main(["run", str(corpus), "--out", str(out), "--particles", "15"]) \
             == EXIT_INPUT
-        assert "position 0" in caplog.text and "True" in caplog.text
+        assert f"{corpus} line 2" in caplog.text and "True" in caplog.text
         ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
         assert ids == ["run-00001"]
 
@@ -166,7 +190,7 @@ class TestRun:
         out = tmp_path / "r.jsonl"
         assert main(["run", str(corpus), "--out", str(out), "--particles", "15"]) \
             == EXIT_INPUT
-        assert "position 0" in caplog.text
+        assert f"{corpus} line 2" in caplog.text
         ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
         assert ids == ["run-00001"]
 
@@ -391,6 +415,21 @@ class TestIngest:
         head = json.loads(out.read_text().splitlines()[0])
         assert len(head["v_hat"]) == 6
         assert all(0.0 < x < 1.0 for x in head["v_hat"])
+
+    def test_forty_categories(self, tmp_path):
+        # the retrospective pass enumerates no states, so a vocabulary this
+        # wide costs no more than the filter above its enumeration limit
+        vocab = default_vocabulary(40)
+        run = synthesize_run(PriorConfig(), 40, 20, np.random.default_rng(40))
+        percepts = tmp_path / "percepts.jsonl"
+        write_percepts(percepts, run.observations, vocab)
+        out = tmp_path / "inf.jsonl"
+        assert main(["ingest", str(percepts), "--out", str(out),
+                     "--vocab", ",".join(vocab), "--particles", "15"]) == EXIT_OK
+        head, *rows = [json.loads(l) for l in out.read_text().splitlines()]
+        assert len(head["v_hat"]) == 80 and len(rows) == 20
+        assert all(1 <= len(r["retrospective_map"]) <= 5 for r in rows)
+        assert all(0.0 < r["retrospective_map_mass"] <= 1.0 for r in rows)
 
     def test_unknown_label_exit_3(self, tmp_path, caplog):
         percepts = tmp_path / "p.jsonl"

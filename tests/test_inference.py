@@ -14,8 +14,10 @@ from detcal.core import (
     beta_predictive_terms,
     render_percept,
     sample_world_state,
+    state_log_joint,
     state_log_predictive,
 )
+from detcal.baselines import fixed_prior_infer
 from detcal.dataset import synthesize_run
 from detcal.metrics import meta_mse
 from detcal.inference import (
@@ -354,6 +356,65 @@ class TestRetrospective:
                         for o in observations]
             assert got == expected
 
+        # Against the enumerated joint at C <= 10: lo=0, hi=C and hi>C;
+        # rates of exactly 0, 0.5 and 1 among interior ones; all rates
+        # equal, as under the fixed prior; and observations no state
+        # explains, which get the first state and mass 1/S.
+        def rates(kind, c):
+            inner = 0.02 + 0.96 * rng.random(c)
+            if kind == "equal":
+                return np.full(c, rng.choice([PRIOR5.rate_map, 0.5, inner[0]]))
+            if kind == "degenerate":
+                return np.where(rng.random(c) < 0.5, rng.choice([0.0, 0.5, 1.0], c), inner)
+            return inner
+
+        cases = exact = stuck = 0
+        for c in range(1, 11):
+            lo_mid = int(rng.integers(0, c + 1))
+            for lo, hi in ((0, c), (1, c + 2), (lo_mid, int(rng.integers(lo_mid, c + 1)))):
+                prior = PriorConfig(count_bounds=(lo, hi),
+                                    poisson_lambda=float(rng.choice([1.0, 2.5])))
+                space = StateSpace.build(prior, c)
+                index = {w: i for i, w in enumerate(space.states)}
+                for kind in ("interior", "degenerate", "equal"):
+                    fa, miss = rates(kind, c), rates(kind, c)
+                    if kind == "equal":
+                        miss = fa
+                    f = rng.integers(1, 7, size=6)
+                    k = rng.binomial(f[:, None], rng.random(c))
+                    lj = state_log_joint(k, f, fa, miss, space)
+                    got = retrospective_map_with_mass(
+                        VisualSystem(fa=fa, miss=miss),
+                        [DetectionStats(counts=row, frame_count=int(x)) for row, x in zip(k, f)],
+                        prior, c)
+                    for (state, mass), row in zip(got, lj):
+                        cases += 1
+                        best = row.max()
+                        if best == -np.inf:
+                            stuck += 1
+                            assert state == space.states[0]
+                            assert mass == pytest.approx(1.0 / space.size, rel=1e-12)
+                            continue
+                        assert row[index[state]] >= best - 1e-12 * max(1.0, abs(best))
+                        assert mass == pytest.approx(math.exp(best - logsumexp(row)), rel=1e-12)
+                        if len(row) == 1 or np.sort(row)[-2] < best - 1e-9:
+                            assert state == space.states[int(np.argmax(row))]
+                            exact += 1
+        assert cases >= 500 and stuck >= 10 and exact >= 400, (cases, stuck, exact)
+
+    def test_builds_no_state_space(self, monkeypatch):
+        # at C=20 and 5 objects the state space would hold 21699 states
+        def refuse(*args):
+            raise AssertionError("the state space was built")
+
+        monkeypatch.setattr(StateSpace, "build", refuse)
+        prior = PriorConfig()
+        run = synthesize_run(prior, 20, 30, np.random.default_rng(20))
+        got = retrospective_map_with_mass(run.v_true, run.observations, prior, 20)
+        assert all(1 <= len(w) <= 5 and 0.0 < mass <= 1.0 for w, mass in got)
+        assert sum(w == truth for (w, _), truth in zip(got, run.world_states)) >= 20
+        assert len(fixed_prior_infer(run.observations, prior, 20)) == 30
+
     def test_tie_break_is_bit_order(self):
         # an uninformative system ties all likelihoods; the prior then puts
         # the singletons first and bit order picks the highest category
@@ -550,7 +611,10 @@ class TestSceneSums:
                     worst = max(worst, float(np.max(np.abs(
                         sums.log_evidence - logsumexp(ll, axis=1)))))
                     cases += 1
-                    for m, best in enumerate(state_index(space, sums.map_states())):
+                    masks, log_mass = sums.map_states()
+                    for m, best in enumerate(state_index(space, masks)):
+                        worst = max(worst, abs(log_mass[m] - ll[m, best]
+                                               + logsumexp(ll[m])))
                         top = np.sort(ll[m])[::-1]
                         if len(top) > 1 and top[0] - top[1] < 1e-9:
                             continue  # a near-tie is decided by rounding
@@ -566,7 +630,7 @@ class TestSceneSums:
         for log_odds in (-3.0, 0.0, 3.0):
             sums = SceneSums(np.full((1, 6), log_odds), np.zeros((1, 6)), prior)
             scores = space.presence.sum(axis=1) * log_odds + space.log_prior
-            assert state_index(space, sums.map_states()) == [int(np.argmax(scores))]
+            assert state_index(space, sums.map_states()[0]) == [int(np.argmax(scores))]
 
     def test_draws_follow_the_exact_posterior(self):
         # 10 batches of 20000 particles with equal counts: 2e5 draws at C=6
