@@ -13,13 +13,15 @@ keeps hidden state, so concurrent use with independent generators is safe.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import statistics
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.special import betaln, gammaln, ndtr, ndtri, xlogy
 
 # A world state is the set of category indices actually present in a scene;
 # a percept is the set of category indices reported for one view.
@@ -167,6 +169,41 @@ class PriorConfig:
 # Distributions
 # ---------------------------------------------------------------------------
 
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (every entry when None), shifted by the
+    maximum so nothing overflows; a slice of only -inf gives -inf."""
+    a = np.asarray(a, dtype=np.float64)
+    top = np.max(a, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - top), axis=axis))
+    return out + np.squeeze(top, axis=axis)
+
+
+def xlogy(x, y):
+    """x * log(y), with 0 where x is 0 (so 0 * log(0) = 0)."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
+def _elementwise(fn, x):
+    """The scalar function fn applied to every entry of x, keeping its shape."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([fn(v) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
+
+
+def ndtr(z):
+    """Standard normal CDF, through erfc so both tails keep their relative accuracy."""
+    return 0.5 * _elementwise(math.erfc, -np.asarray(z, dtype=np.float64) / math.sqrt(2.0))
+
+
+def ndtri(p):
+    """Inverse of ``ndtr``: -inf at p = 0 and +inf at p = 1."""
+    return _elementwise(lambda v: math.copysign(math.inf, v - 0.5) if v in (0.0, 1.0)
+                        else statistics.NormalDist().inv_cdf(v), p)
+
+
 def beta_sample(alpha: float, beta: float, rng: np.random.Generator, size=None):
     """Beta(alpha, beta) draw(s)."""
     if alpha <= 0 or beta <= 0:
@@ -178,12 +215,17 @@ def beta_log_density(x, alpha: float, beta: float):
     """Log density of Beta(alpha, beta); -inf outside (0,1) endpoints as usual."""
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        return xlogy(alpha - 1.0, x) + xlogy(beta - 1.0, 1.0 - x) - betaln(alpha, beta)
+        return (xlogy(alpha - 1.0, x) + xlogy(beta - 1.0, 1.0 - x)
+                - math.lgamma(alpha) - math.lgamma(beta) + math.lgamma(alpha + beta))
+
+
+def _poisson_log_weights(lam: float, lo: int, hi: int) -> np.ndarray:
+    """n log(lam) - log(n!) for n = lo..hi: the Poisson log pmf up to a constant."""
+    return np.array([n * math.log(lam) - math.lgamma(n + 1.0) for n in range(lo, hi + 1)])
 
 
 def _truncated_poisson_weights(lam: float, lo: int, hi: int) -> np.ndarray:
-    ns = np.arange(lo, hi + 1, dtype=np.float64)
-    logp = ns * math.log(lam) - lam - gammaln(ns + 1.0)
+    logp = _poisson_log_weights(lam, lo, hi)
     w = np.exp(logp - logp.max())
     return w / w.sum()
 
@@ -277,12 +319,25 @@ def count_log_prior(prior: PriorConfig, num_categories: int) -> np.ndarray:
     """log P(w) of any one state of n objects, for n = lo..min(hi, C).
 
     That is log d(n) - log C(num_categories, n), with d the truncated
-    Poisson pmf of the object count.
+    Poisson pmf of the object count: log(lam^n / (n! C(C, n))) less the log
+    normalizer. Rounding the ratio once makes counts that tie in real
+    arithmetic (n = 0 and 1 when lam = C) tie bit for bit.
     """
     lo, hi = prior.count_bounds
-    d = _truncated_poisson_weights(prior.poisson_lambda, lo, hi)
-    return np.array([math.log(d[n - lo]) - math.log(math.comb(num_categories, n))
+    logp = _poisson_log_weights(prior.poisson_lambda, lo, hi)
+    top = logp.max()
+    log_z = top + math.log(np.exp(logp - top).sum())
+    return np.array([_log_state_weight(prior.poisson_lambda, n, num_categories) - log_z
                      for n in range(lo, min(hi, num_categories) + 1)])
+
+
+def _log_state_weight(lam: float, n: int, c: int) -> float:
+    """log(lam^n / (n! C(c, n))), rounded once while the ratio is a normal float."""
+    with contextlib.suppress(OverflowError):
+        ratio = lam ** n / math.perm(c, n)
+        if sys.float_info.min <= ratio < math.inf:
+            return math.log(ratio)
+    return n * math.log(lam) - math.log(math.perm(c, n))
 
 
 def world_state_log_prior(world: WorldState, prior: PriorConfig,
@@ -397,12 +452,28 @@ def beta_predictive_terms(counts, frame_count, a_fa, b_fa, a_miss, b_miss):
     (``a_miss`` misses, ``b_miss`` detections) a present one,
     betaln(a_miss + F - k, b_miss + k) - betaln(a_miss, b_miss). Positive
     counts keep every term finite.
+
+    For integer k and F, betaln(a + x, b + y) - betaln(a, b) is log[(a)_x
+    (b)_y / (a + b)_(x+y)] with rising factorials (a)_n = a (a + 1) ... (a +
+    n - 1): the six are built one factor per frame and logged every 16
+    factors, which keeps them finite for counts below about 1e19.
     """
     k = np.asarray(counts, dtype=np.float64)
-    rest = np.asarray(frame_count, dtype=np.float64)[..., None] - k
-    pres_term = betaln(a_miss + rest, b_miss + k) - betaln(a_miss, b_miss)
-    abs_term = betaln(a_fa + k, b_fa + rest) - betaln(a_fa, b_fa)
-    return pres_term, abs_term
+    frames = np.asarray(frame_count, dtype=np.float64)[..., None]
+    rest = frames - k
+    lengths = np.stack(np.broadcast_arrays(rest, k, frames, k, rest, frames), axis=-1)
+    bases = np.stack(np.broadcast_arrays(a_miss, b_miss, a_miss + b_miss,
+                                         a_fa, b_fa, a_fa + b_fa), axis=-1)
+    prod = np.ones(np.broadcast_shapes(lengths.shape, bases.shape))
+    terms = np.zeros(prod.shape[:-1] + (2,))
+    top = int(frames.max())
+    for i in range(top):
+        prod *= np.where(i < lengths, bases + i, 1.0)
+        if i % 16 == 15 or i == top - 1:
+            # (present, absent): numerator / denominator * numerator
+            terms += np.log(prod[..., 0:4:3] / prod[..., 2:6:3] * prod[..., 1:5:3])
+            prod.fill(1.0)
+    return terms[..., 0], terms[..., 1]
 
 
 def state_log_predictive(counts, frame_count, a_fa, b_fa, a_miss, b_miss,

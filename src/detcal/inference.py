@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     DetectionStats,
@@ -45,6 +44,7 @@ from .core import (
     beta_log_density,
     beta_predictive_terms,
     count_log_prior,
+    logsumexp,
     pinned_terms,
     state_log_joint,
     state_log_predictive,

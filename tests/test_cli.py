@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,16 @@ def synth(tmp_path, name="corpus.jsonl", extra=()):
     path = tmp_path / name
     assert main(["synth", "--out", str(path), *SMALL, *extra]) == EXIT_OK
     return path
+
+
+class TestStartup:
+    def test_importing_the_program_loads_no_scipy(self):
+        code = ("import sys, detcal, detcal.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSynth:

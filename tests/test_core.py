@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.stats import norm
 
 from detcal.core import (
@@ -12,7 +13,11 @@ from detcal.core import (
     StateSpace,
     VisualSystem,
     beta_sample,
+    count_log_prior,
     enumerate_world_states,
+    logsumexp,
+    ndtr,
+    ndtri,
     observation_log_likelihood,
     render_percept,
     sample_visual_system,
@@ -23,6 +28,7 @@ from detcal.core import (
     truncated_poisson_pmf,
     truncated_poisson_sample,
     world_state_log_prior,
+    xlogy,
 )
 from oracles import (
     enumerate_states_oracle,
@@ -113,6 +119,42 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             truncated_normal_sample(0.5, 0.0, rng)
 
+    def test_normal_cdf_and_quantile_match_scipy(self):
+        z = np.linspace(-10.0, 10.0, 2001)
+        np.testing.assert_allclose(ndtr(z), special.ndtr(z), rtol=1e-13, atol=0)
+        p = special.ndtr(z)
+        p = p[(p > 0.0) & (p < 1.0)]
+        np.testing.assert_allclose(ndtri(p), special.ndtri(p), rtol=1e-14, atol=1e-14)
+        assert ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+        assert float(ndtr(-np.inf)) == 0.0 and float(ndtr(np.inf)) == 1.0
+
+
+class TestLogsumexp:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(31)
+        rows = rng.normal(size=(40, 31)) * rng.choice([0.1, 1.0, 10.0, 100.0], size=(40, 1))
+        rows[:10, ::3] = -np.inf                  # rows with -inf entries
+        rows[10] = -np.inf                        # a row of only -inf
+        rows[11] = 700.0 + rng.random(31)         # exp would overflow unshifted
+        rows[12] = -700.0 - rng.random(31)        # and underflow
+        for axis in (1, 0, None):
+            ours, ref = logsumexp(rows, axis=axis), special.logsumexp(rows, axis=axis)
+            assert np.shape(ours) == np.shape(ref)
+            np.testing.assert_allclose(ours, ref, rtol=1e-15, atol=0)
+        assert logsumexp(rows, axis=1)[10] == -math.inf
+
+    def test_error_is_absolute_near_zero(self):
+        # the shift by the maximum leaves an error of about one rounding of
+        # the largest entry, so a sum of 1 + 4e-18 reads exactly 0
+        assert abs(logsumexp([0.0, -40.0]) - math.log1p(math.exp(-40.0))) <= 1e-15
+
+
+class TestXlogy:
+    def test_zero_times_log_zero_is_zero(self):
+        assert xlogy(0.0, 0.0) == 0.0
+        x, y = np.array([0.0, 0.0, 2.0, 3.0, 1.5]), np.array([0.0, 0.4, 0.0, 0.4, 1.0])
+        np.testing.assert_array_equal(xlogy(x, y), special.xlogy(x, y))
+
 
 class TestWorldStatePrior:
     def test_sample_count_distribution(self, rng):
@@ -151,6 +193,17 @@ class TestWorldStatePrior:
         assert value == pytest.approx(
             math.exp(state_log_prior_oracle(frozenset({2}), 1.0, 1, 5, 5)), rel=1e-12)
         assert value == pytest.approx(0.1165, abs=5e-5)
+
+    def test_count_prior_far_outside_float_range(self):
+        # lam^n / (n! C(C, n)) overflows or underflows a float here, so the
+        # count prior falls back to logs; each must still sum to 1 over states
+        for lam in (1e-3, 50.0):
+            prior = PriorConfig(poisson_lambda=lam, count_bounds=(0, 200))
+            log_prior = count_log_prior(prior, 300)
+            log_states = [math.lgamma(301) - math.lgamma(n + 1) - math.lgamma(301 - n)
+                          for n in range(201)]
+            assert np.isfinite(log_prior).all()
+            assert logsumexp(log_prior + log_states) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_state_outside_support(self):
         assert world_state_log_prior(frozenset(), PriorConfig(), 5) == -math.inf

@@ -23,6 +23,20 @@ their top-level `format`, and the `exact.csv` step went with its two hashes.
 And inferences.jsonl was re-recorded when the retrospective pass stopped
 enumerating states and read its MAP masses from elementary symmetric
 polynomials: its scenes are the same, its masses moved in the last bits.
+And the hashes downstream of the filter and the retrospective pass were
+re-recorded when scipy left the program, old -> new: exact.jsonl
+014882da -> 8b1d709a, report/accuracy_by_noise.csv 088d683a -> 9b75980e,
+report/accuracy_by_observation.csv 4d92636c -> edfb8c35,
+report/error_map_run-00001.csv 5f83ce4e -> 67f441df,
+report/mse_by_observation.csv 41778ae9 -> d64a2797, report/summary.csv
+e254247a -> 5db09d37, wide-results.jsonl 1c1cf571 -> c491007c,
+broad-results.jsonl 01fb7b6b -> 6209aa48, inferences.jsonl 110916b6 ->
+8046a1c6 and inferences.jsonl.manifest.json 6b3847e3 -> ce926aa4. The
+Beta predictive became a ratio of rising factorials and the count prior
+a once-rounded ratio, so floats moved by at most 3.4e-14 relative; one
+online MAP scene, an exact tie in real arithmetic, now goes to the first
+scene in bit order. The corpora, percepts.jsonl and every other file
+kept their hashes.
 """
 
 import hashlib
@@ -45,7 +59,7 @@ BROAD = ["--systems", "2", "--world-states", "5", "--particles", "30",
 
 GOLDEN = {
     "broad-results.jsonl":
-        "01fb7b6b7f0fb99e25f1472d5161f3034988d3b7f1d16930f164ae1bb7ca59e8",
+        "6209aa48e1c885f496e6354f03d04370fdece336e81af044317335e67f854f64",
     "broad-results.jsonl.manifest.json":
         "b4eca9a1da14d9495a6940acd4a35dc107c570fb95bb7260c719dca3c6b9b724",
     "broad.jsonl":
@@ -57,29 +71,29 @@ GOLDEN = {
     "corpus.jsonl.manifest.json":
         "55e225f49cde5855ed81bccf881dcb4ad0b1e8a565a32d393434cb7a1736f976",
     "exact.jsonl":
-        "014882da05136dc3f271ad381bbc7b2ccbe09b980ffbc240104146450c21bd6b",
+        "8b1d709ad855da64c6b82dd83fa3deb6d277b0a488d03c1f84e3b923f8944b73",
     "exact.jsonl.manifest.json":
         "c750ba8d4ead73472c86ce2c01734e1026f603c9ceaa6b079b508f2dbd95b009",
     "inferences.jsonl":
-        "110916b68389df9020d54f78de7456200f92a61fdf091261b6ab6168ff0197d7",
+        "8046a1c6b25fb170c25a85b517c7a7256e2da0ea0e2a410dee8812613ffaa3c1",
     "inferences.jsonl.manifest.json":
-        "6b3847e33c2155111fa80f7d1067d20211f4217d34648cd3476ab0583e3966b9",
+        "ce926aa4acf3cc24094fb3d9793d299c6d4d7fc29dc1b2e7674f0ee0ffa9ed29",
     "percepts.jsonl":
         "5609d67e49ae159ba1051b6d39e67c0ae662dc5bccbc822bad33547895f4507d",
     "report/accuracy_by_noise.csv":
-        "088d683a2362f56f52cb96cb82862e37464970b490727e1ef5f5abfff0c7819f",
+        "9b75980ed60bc3343a798fa50b5cca521905fda4141e1289c52a27c569d63a63",
     "report/accuracy_by_observation.csv":
-        "4d92636c009fd9138acb134b7afb2203b4001219df8dd35447c9c1ff0c52c24b",
+        "edfb8c35cf20221f629de33fc20f2b30bc4e33d6325046da1eb318cdf7058371",
     "report/error_map_run-00001.csv":
-        "5f83ce4eb2dc0110b9429e6d9ccafbc37964309e4d7aa125cb3171d567cce0d6",
+        "67f441df7305d3cf5a3b2f94d0724ffb9837f341c0b60fc03cca8a093db9a09c",
     "report/mse_by_observation.csv":
-        "41778ae965f71a3833a0cb380dee9c7976480f005a564083fec86d1a0845bb0a",
+        "d64a2797871cef9c8272c538bdbc246ff9832a5928a46ac69f107cbef8a8b5d0",
     "report/noise_gap.csv":
         "68bd7877357edc537ef551cf0201ccc114dee3589f85476b45cd821460bef4cf",
     "report/summary.csv":
-        "e254247ab5037f3a214037994537329072f982f3a852c072c7df8cab78ed6c9c",
+        "5db09d37b975f1aadfa5646b99fadd0daa50d33e0af398646a34cd40adc5c1d8",
     "wide-results.jsonl":
-        "1c1cf571db15448c7f5a26e10d93c763f2ca2a71c5f909c75c1837f82be98dd5",
+        "c491007c476e2e52b821548e70e0120dc360ee1c5a3a06a6334c8ae733adf2a1",
     "wide-results.jsonl.manifest.json":
         "e8280bd3abe23d94a3eee8d071917794997db1bac28ef980d0b57b263b1792d6",
     "wide.jsonl":

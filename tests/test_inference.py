@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import betaln, logsumexp
@@ -512,6 +514,46 @@ class TestParticleLearning:
         expected = logsumexp(joint, axis=-1).sum(axis=0)
         np.testing.assert_allclose(ens.log_weights, expected, rtol=1e-12, atol=0)
 
+    def test_predictive_terms_match_high_precision(self):
+        # log B(a + x, b + y) - log B(a, b) at 50 digits, for counts from
+        # below 1 (as in random_beta_counts) to 2e4, F up to 40 (three
+        # blocks of 16 factors), and k = 0 and k = F in every draw
+        def exact(a, b, x, y):
+            with mpmath.workdps(50):
+                a, b = mpmath.mpf(a), mpmath.mpf(b)
+                return float(mpmath.log(mpmath.beta(a + x, b + y) / mpmath.beta(a, b)))
+
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for f in (1, 2, 15, 16, 17, 40):
+            for scale in (0.3, 3.0, 30.0, 2e4):
+                a_fa, b_fa, a_miss, b_miss = (scale * (0.05 + rng.random((2, 6)))
+                                              for _ in range(4))
+                k = rng.integers(0, f + 1, size=6)
+                k[:2] = 0, f
+                pres, absent = beta_predictive_terms(k, f, a_fa, b_fa, a_miss, b_miss)
+                for m in range(2):
+                    for j in range(6):
+                        kj = int(k[j])
+                        worst = max(worst,
+                                    abs(pres[m, j] - exact(a_miss[m, j], b_miss[m, j], f - kj, kj)),
+                                    abs(absent[m, j] - exact(a_fa[m, j], b_fa[m, j], kj, f - kj)))
+        assert worst <= 1e-13
+
+    def test_predictive_terms_broadcast_over_observations(self):
+        # counts (T, C) with frames (T,) against counts (M, 1, C): one call
+        # gives (M, T, C), equal to a call per observation
+        rng = np.random.default_rng(43)
+        beta_counts = [x[:, None, :] for x in random_beta_counts(rng, 3, 4)]
+        frames = np.array([1, 7, 20])
+        counts = np.array([rng.integers(0, f + 1, size=4) for f in frames])
+        pres, absent = beta_predictive_terms(counts, frames, *beta_counts)
+        assert pres.shape == absent.shape == (3, 3, 4)
+        for t, f in enumerate(frames):
+            one = beta_predictive_terms(counts[t], f, *(x[:, 0] for x in beta_counts))
+            np.testing.assert_allclose(pres[:, t], one[0], rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(absent[:, t], one[1], rtol=1e-15, atol=1e-15)
+
     def test_mixture_of_beta_posteriors_matches_a_grid_posterior(self):
         # C=1 with scenes of 0 or 1 objects and both rates at 0.3, so the
         # scene stays uncertain; the particles' Beta posteriors, mixed by
@@ -631,6 +673,21 @@ class TestSceneSums:
             sums = SceneSums(np.full((1, 6), log_odds), np.zeros((1, 6)), prior)
             scores = space.presence.sum(axis=1) * log_odds + space.log_prior
             assert state_index(space, sums.map_states()[0]) == [int(np.argmax(scores))]
+        # even odds: a state of n objects scores lam^n / n! / C(C, n) exactly,
+        # so counts can tie (lam = C ties the empty state with each single
+        # object); the first best state in bit order must win
+        for lam in (1, 2, 4):
+            for c in range(1, 7):
+                for lo in range(min(c, 2) + 1):
+                    for hi in range(lo, c + 2):
+                        prior = PriorConfig(poisson_lambda=lam, count_bounds=(lo, hi))
+                        space = StateSpace.build(prior, c)
+                        exact = [Fraction(lam ** len(w),
+                                          math.factorial(len(w)) * math.comb(c, len(w)))
+                                 for w in space.states]
+                        sums = SceneSums(np.zeros((1, c)), np.zeros((1, c)), prior)
+                        assert (state_index(space, sums.map_states()[0])
+                                == [exact.index(max(exact))]), (lam, c, lo, hi)
 
     def test_draws_follow_the_exact_posterior(self):
         # 10 batches of 20000 particles with equal counts: 2e5 draws at C=6
