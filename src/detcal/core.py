@@ -19,7 +19,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class Observation:
     percepts: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "percepts", tuple(frozenset(p) for p in self.percepts))
+        object.__setattr__(self, "percepts", tuple(map(frozenset, self.percepts)))
         if len(self.percepts) < 1:
             raise ValueError("an observation needs at least one percept")
 
@@ -230,6 +230,14 @@ def _truncated_poisson_weights(lam: float, lo: int, hi: int) -> np.ndarray:
     return w / w.sum()
 
 
+@functools.cache
+def _truncated_poisson_cdf(lam: float, lo: int, hi: int) -> np.ndarray:
+    """The truncated Poisson's CDF on [lo, hi], built once per process and read-only."""
+    cdf = np.cumsum(_truncated_poisson_weights(lam, lo, hi))
+    cdf.flags.writeable = False
+    return cdf
+
+
 def truncated_poisson_pmf(n: int, lam: float, lo: int, hi: int) -> float:
     """Poisson(lam) pmf renormalized to the inclusive support [lo, hi]."""
     if lam <= 0:
@@ -247,9 +255,9 @@ def truncated_poisson_sample(lam: float, lo: int, hi: int, rng: np.random.Genera
         raise ValueError("lam must be positive")
     if lo > hi:
         raise ValueError("lo must not exceed hi")
-    cdf = np.cumsum(_truncated_poisson_weights(lam, lo, hi))
+    cdf = _truncated_poisson_cdf(lam, lo, hi)
     u = rng.random(size)
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), hi - lo)
+    idx = np.minimum(cdf.searchsorted(u, side="right"), hi - lo)
     if size is None:
         return int(lo + idx)
     return (lo + idx).astype(np.int64)
@@ -504,16 +512,17 @@ def sample_visual_system(prior: PriorConfig, num_categories: int,
     return VisualSystem(fa=fa, miss=miss)
 
 
-def render_percept(world: WorldState, system: VisualSystem,
-                   rng: np.random.Generator) -> Percept:
-    """One noisy view: present categories survive with prob 1-M, absent ones
-    intrude with prob FA, independently across categories."""
-    c = system.num_categories
-    present = np.zeros(c, dtype=bool)
-    present[sorted(world)] = True
-    p_detect = np.where(present, 1.0 - system.miss, system.fa)
-    detected = rng.random(c) < p_detect
-    return _as_world_state(np.nonzero(detected)[0])
+def render_percepts(world: WorldState, system: VisualSystem, frames: int,
+                    rng: np.random.Generator) -> tuple:
+    """``frames`` noisy views of one scene: present categories survive with
+    prob 1-M, absent ones intrude with prob FA, all independently. View f
+    reads row f of one (frames, C) uniform draw, as F draws of C would."""
+    present = list(world)
+    p_detect = system.fa.copy()
+    p_detect[present] = 1.0 - system.miss[present]
+    detected = rng.random((frames, system.num_categories)) < p_detect
+    categories = range(system.num_categories)
+    return tuple(frozenset(compress(categories, row)) for row in detected.tolist())
 
 
 def observation_log_likelihood(stats: DetectionStats, world: WorldState,

@@ -24,7 +24,7 @@ from .core import (
     Observation,
     PriorConfig,
     VisualSystem,
-    render_percept,
+    render_percepts,
     sample_visual_system,
     sample_world_state,
 )
@@ -127,10 +127,12 @@ class Corpus:
 def synthesize_run(prior: PriorConfig, num_categories: int,
                    world_state_count: int, rng: np.random.Generator,
                    run_id: str = "run-00000", seed: list | None = None) -> Run:
-    """Draw one system and its percepts.
+    """Draw one system and its percepts from ``rng`` alone.
 
-    One rate matrix, then per world state: the state itself, a uniform
-    frame count from frames_bounds, and that many rendered percepts.
+    The order of the draws fixes a corpus's bytes, and any batching must
+    keep it: the 2C rates first (``sample_visual_system``), then per world
+    state the count uniform, the category choice, the frame count F
+    (uniform over frames_bounds) and F x C detection uniforms, row by row.
     """
     v_true = sample_visual_system(prior, num_categories, rng)
     flo, fhi = prior.frames_bounds
@@ -139,9 +141,8 @@ def synthesize_run(prior: PriorConfig, num_categories: int,
     for _ in range(world_state_count):
         world = sample_world_state(prior, num_categories, rng)
         frames = int(rng.integers(flo, fhi + 1))
-        percepts = tuple(render_percept(world, v_true, rng) for _ in range(frames))
         world_states.append(world)
-        observations.append(Observation(percepts))
+        observations.append(Observation(render_percepts(world, v_true, frames, rng)))
     return Run(run_id=run_id, v_true=v_true, world_states=world_states,
                observations=observations, seed=seed)
 

@@ -254,6 +254,40 @@ def synthesize_stats_fast(n_obs, num_categories, rng, alpha=2.0, beta=10.0,
     return present, counts, frames
 
 
+def synthesize_run_reference(prior, num_categories, world_state_count, rng,
+                             run_id="run-00000", seed=None):
+    """The corpus record of one run, synthesized one frame at a time.
+
+    The per-frame synthesis that the package's batched one must match draw
+    for draw: 2C Beta rates (false alarms, then misses), then per scene a
+    freshly built truncated-Poisson CDF and its uniform, the category
+    choice, the frame count, and F separate draws of C uniforms.
+    """
+    c = num_categories
+    fa = rng.beta(prior.beta_alpha, prior.beta_beta, size=c)
+    miss = rng.beta(prior.beta_alpha, prior.beta_beta, size=c)
+    lam = prior.poisson_lambda
+    (lo, hi), (f_lo, f_hi) = prior.count_bounds, prior.frames_bounds
+    worlds, observations = [], []
+    for _ in range(world_state_count):
+        logp = np.array([n * math.log(lam) - math.lgamma(n + 1.0)
+                         for n in range(lo, hi + 1)])
+        w = np.exp(logp - logp.max())
+        cdf = np.cumsum(w / w.sum())
+        n = int(lo + np.minimum(np.searchsorted(cdf, rng.random(), side="right"), hi - lo))
+        world = sorted(int(k) for k in rng.choice(c, size=n, replace=False))
+        frames = int(rng.integers(f_lo, f_hi + 1))
+        present = np.zeros(c, dtype=bool)
+        present[world] = True
+        p_detect = np.where(present, 1.0 - miss, fa)
+        worlds.append(world)
+        observations.append([np.nonzero(rng.random(c) < p_detect)[0].tolist()
+                             for _ in range(frames)])
+    return {"record": "run", "run_id": run_id, "seed": seed,
+            "v_true": np.concatenate([fa, miss]).tolist(),
+            "world_states": worlds, "observations": observations}
+
+
 def sampling_filter_reference(observations, num_categories, rng, *, alpha=2.0, beta=10.0,
                               lam=1.0, lo=1, hi=5, num_particles=100, sigma=0.1,
                               ess_threshold=0.5, v_true=None):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 from scipy.stats import norm
 
+from detcal import core
 from detcal.core import (
     DetectionStats,
     Observation,
@@ -19,7 +20,7 @@ from detcal.core import (
     ndtr,
     ndtri,
     observation_log_likelihood,
-    render_percept,
+    render_percepts,
     sample_visual_system,
     sample_world_state,
     state_log_joint,
@@ -93,6 +94,55 @@ class TestTruncatedPoisson:
             truncated_poisson_pmf(1, -1.0, 1, 5)
         with pytest.raises(ValueError):
             truncated_poisson_sample(1.0, 5, 1, rng)
+
+    def test_cached_cdf_draws_as_a_fresh_one(self):
+        # interleaved (lam, lo, hi) must each get their own CDF, built as the
+        # weights' cumulative sum, so no draw moves
+        triples = [(1.0, 1, 5), (1.0, 0, 5), (7.0, 0, 40), (7.0, 0, 8), (1e-9, 0, 3),
+                   (2.5, 2, 2), (2.5, 1, 5), (1, 1, 5), (7.0, 3, 9), (1e-9, 1, 5)]
+        cached, fresh = np.random.default_rng(8), np.random.default_rng(8)
+        for i in range(600):
+            lam, lo, hi = triples[(i * 3) % len(triples)]
+            cdf = np.cumsum(core._truncated_poisson_weights(lam, lo, hi))
+            size = None if i % 3 else 4
+            want = lo + np.minimum(np.searchsorted(cdf, fresh.random(size), side="right"),
+                                   hi - lo)
+            got = truncated_poisson_sample(lam, lo, hi, cached, size=size)
+            assert np.array_equal(got, want)
+            assert isinstance(got, int if size is None else np.ndarray)
+
+    def test_cached_cdf_is_read_only(self, rng):
+        truncated_poisson_sample(1.0, 1, 5, rng)
+        cdf = core._truncated_poisson_cdf(1.0, 1, 5)
+        assert cdf is core._truncated_poisson_cdf(1.0, 1, 5)
+        with pytest.raises(ValueError):
+            cdf[0] = 0.0
+
+    def test_bad_arguments_raise_on_every_call(self, rng):
+        for _ in range(3):
+            for lam, lo, hi in ((0.0, 1, 5), (-1.0, 1, 5), (1.0, 5, 1)):
+                with pytest.raises(ValueError):
+                    truncated_poisson_sample(lam, lo, hi, rng)
+                with pytest.raises(ValueError):
+                    truncated_poisson_pmf(lo, lam, lo, hi)
+            truncated_poisson_sample(1.0, 1, 5, rng)
+
+    def test_pmf_keeps_its_values(self, rng):
+        # bit for bit, with each triple's CDF already cached by a draw
+        pinned = {
+            (1.0, 1, 5): [0.5825242718446602, 0.2912621359223302, 0.09708737864077666,
+                          0.02427184466019419, 0.004854368932038832],
+            (7.0, 0, 8): [0.0012507103100871315, 0.008754972170609922,
+                          0.03064240259713473, 0.0714989393933143, 0.12512314393830024,
+                          0.17517240151361985, 0.20436780176588978, 0.20436780176588995,
+                          0.178821826545154],
+            (1e-9, 0, 3): [0.9999999989999999, 9.999999990000005e-10,
+                           4.999999994999997e-19, 1.6666666650000044e-28],
+        }
+        for (lam, lo, hi), values in pinned.items():
+            truncated_poisson_sample(lam, lo, hi, rng)
+            assert [truncated_poisson_pmf(n, lam, lo, hi)
+                    for n in range(lo, hi + 1)] == values
 
 
 class TestTruncatedNormal:
@@ -238,19 +288,30 @@ class TestRenderPercept:
         v = VisualSystem(fa=np.zeros(5), miss=np.zeros(5))
         for _ in range(50):
             w = sample_world_state(PriorConfig(), 5, rng)
-            assert render_percept(w, v, rng) == w
+            assert render_percepts(w, v, 3, rng) == (w, w, w)
 
     def test_total_blindness(self, rng):
         v = VisualSystem(fa=np.zeros(4), miss=np.ones(4))
-        assert render_percept(frozenset({0, 2}), v, rng) == frozenset()
+        assert render_percepts(frozenset({0, 2}), v, 1, rng) == (frozenset(),)
 
     def test_two_category_probability(self, rng):
         # (1 - 0.2) * (1 - 0.1) = 0.72
         v = VisualSystem(fa=np.array([0.0, 0.1]), miss=np.array([0.2, 0.0]))
         w = frozenset({0})
         n = 300_000
-        hits = sum(render_percept(w, v, rng) == frozenset({0}) for _ in range(n))
+        hits = sum(p == frozenset({0}) for p in render_percepts(w, v, n, rng))
         assert abs(hits / n - 0.72) < 4e-3
+
+    def test_frames_are_rows_of_one_draw(self):
+        # frame f reports category j when uniform (f, j) falls below its
+        # detection probability; an empty scene still gives F percepts
+        v = VisualSystem(fa=np.array([0.1, 0.5, 0.9]), miss=np.array([0.3, 0.3, 0.3]))
+        for world in (frozenset(), frozenset({1}), frozenset({0, 2})):
+            u = np.random.default_rng(4).random((7, 3))
+            p = [1.0 - v.miss[j] if j in world else v.fa[j] for j in range(3)]
+            want = tuple(frozenset(j for j in range(3) if u[f, j] < p[j]) for f in range(7))
+            got = render_percepts(world, v, 7, np.random.default_rng(4))
+            assert got == want and all(type(c) is int for pc in got for c in pc)
 
 
 class TestObservationLogLikelihood:
@@ -349,8 +410,8 @@ class TestDeterminism:
         assert sample_world_state(prior, 5, a) == sample_world_state(prior, 5, b)
         va, vb = sample_visual_system(prior, 5, a), sample_visual_system(prior, 5, b)
         assert np.array_equal(va.as_flat(), vb.as_flat())
-        assert render_percept(frozenset({1}), va, a) == render_percept(
-            frozenset({1}), vb, b)
+        assert render_percepts(frozenset({1}), va, 4, a) == render_percepts(
+            frozenset({1}), vb, 4, b)
         assert truncated_poisson_sample(1.0, 1, 5, a) == truncated_poisson_sample(
             1.0, 1, 5, b)
         assert np.array_equal(truncated_normal_sample(np.full(4, 0.3), 0.1, a),

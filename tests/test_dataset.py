@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from detcal.core import Observation, PriorConfig, VisualSystem, render_percept
+from detcal.core import Observation, PriorConfig, VisualSystem, render_percepts
 from detcal.dataset import (
     CorpusFormatError,
     PerceptFormatError,
@@ -18,6 +18,7 @@ from detcal.dataset import (
     write_corpus,
     write_percepts,
 )
+from oracles import synthesize_run_reference
 
 PRIOR = PriorConfig()
 
@@ -35,8 +36,7 @@ class TestSynthesizeRun:
         v = VisualSystem(fa=np.zeros(5), miss=np.zeros(5))
         worlds = [frozenset({0, 1}), frozenset({4})]
         observations = [
-            Observation(tuple(render_percept(w, v, rng) for _ in range(6)))
-            for w in worlds]
+            Observation(render_percepts(w, v, 6, rng)) for w in worlds]
         run = Run(run_id="manual", v_true=v, world_states=worlds,
                   observations=observations)
         for w, o in zip(run.world_states, run.observations):
@@ -64,6 +64,24 @@ class TestSynthesizeRun:
             with pytest.raises(ValueError):
                 Run.from_record({**rec, field: value}, 5)
         assert Run.from_record(rec, 5).run_id == rec["run_id"]
+
+    # (C, count_bounds), with the default bounds wherever C allows them
+    @pytest.mark.parametrize("c, count_bounds", [
+        (c, bounds) for c in (1, 2, 5, 8, 16, 40)
+        for bounds in ((0, c), (c, c)) + (((1, 5),) if c >= 5 else ())])
+    def test_draws_match_the_per_frame_reference(self, c, count_bounds):
+        # the batched render consumes the stream exactly as one draw per frame
+        for frames in ((1, 1), (5, 15)):
+            for lam in (1e-9, 1.0, 7.0):
+                prior = PriorConfig(poisson_lambda=lam, count_bounds=count_bounds,
+                                    frames_bounds=frames)
+                for seed in (0, 1, 2):
+                    batched, reference = (np.random.default_rng(seed) for _ in range(2))
+                    got = synthesize_run(prior, c, 12, batched, run_id="r", seed=[seed])
+                    want = synthesize_run_reference(prior, c, 12, reference, run_id="r",
+                                                    seed=[seed])
+                    assert got.to_record() == want
+                    assert batched.bit_generator.state == reference.bit_generator.state
 
     def test_parallel_list_invariant(self):
         v = VisualSystem(fa=np.zeros(2), miss=np.zeros(2))

@@ -14,7 +14,7 @@ from detcal.core import (
     VisualSystem,
     beta_log_density,
     beta_predictive_terms,
-    render_percept,
+    render_percepts,
     sample_world_state,
     state_log_joint,
     state_log_predictive,
@@ -195,8 +195,7 @@ class TestAssimilation:
                              miss=np.array([0.1, 0.05, 0.4]))
         r = np.random.default_rng(17)
         observations = [
-            Observation(tuple(render_percept(w, truth, r)
-                              for _ in range(int(r.integers(2900, 3100)))))
+            Observation(render_percepts(w, truth, int(r.integers(2900, 3100)), r))
             for w in (frozenset({0}), frozenset({1, 2}), frozenset({0, 2}))]
         history = [DetectionStats.from_observation(o, c) for o in observations]
         particle = rate_particle(truth.fa, truth.miss)
@@ -567,7 +566,7 @@ class TestParticleLearning:
         for _ in range(300):
             world = sample_world_state(prior, 1, r)
             frames = int(r.integers(prior.frames_bounds[0], prior.frames_bounds[1] + 1))
-            obs = Observation(tuple(render_percept(world, truth, r) for _ in range(frames)))
+            obs = Observation(render_percepts(world, truth, frames, r))
             stats.append(DetectionStats.from_observation(obs, 1))
         ens = init_ensemble(ParticleFilterConfig(num_particles=1000, seed=0), prior, 1)
         for s in stats:
