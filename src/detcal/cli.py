@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 
 from .dataset import CorpusFormatError, PerceptFormatError, text_lines
 from .experiment import (
@@ -33,23 +32,25 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_IO = 4
 
-# dest name -> (config field, caster); these are also the config-file keys
+# dest name -> (config field, caster, --help text); the dest names are also
+# the config-file keys, and each gives the flag --<dest with dashes>
 _SETTINGS = {
-    "systems": ("num_systems", int),
-    "world_states": ("world_states_per_system", int),
-    "categories": ("num_categories", int),
-    "particles": ("num_particles", int),
-    "ess_threshold": ("ess_resample_threshold", float),
-    "frames_min": ("frames_min", int),
-    "frames_max": ("frames_max", int),
-    "count_min": ("count_min", int),
-    "count_max": ("count_max", int),
-    "beta_alpha": ("beta_alpha", float),
-    "beta_beta": ("beta_beta", float),
-    "poisson_lambda": ("poisson_lambda", float),
-    "seed": ("seed", int),
-    "models": ("models", str),
-    "jobs": ("jobs", int),
+    "systems": ("num_systems", int, "number of systems to synthesize"),
+    "world_states": ("world_states_per_system", int, "world states per system (default 75)"),
+    "categories": ("num_categories", int, "number of object categories"),
+    "particles": ("num_particles", int, "particle count (default 100)"),
+    "ess_threshold": ("ess_resample_threshold", float,
+                      "resample when ESS drops below this fraction (default 0.5)"),
+    "frames_min": ("frames_min", int, None),
+    "frames_max": ("frames_max", int, None),
+    "count_min": ("count_min", int, None),
+    "count_max": ("count_max", int, None),
+    "beta_alpha": ("beta_alpha", float, None),
+    "beta_beta": ("beta_beta", float, None),
+    "poisson_lambda": ("poisson_lambda", float, None),
+    "seed": ("seed", int, "root seed (default 0)"),
+    "models": ("models", str, "comma list from: " + ",".join(ALL_MODELS)),
+    "jobs": ("jobs", int, "parallel worker processes (default 1)"),
 }
 
 
@@ -61,11 +62,8 @@ def _parse_models(text: str) -> tuple:
 
 
 def _load_config_file(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
     values = {}
-    for lineno, line in enumerate(text_lines(p, ConfigError), 1):
+    for lineno, line in enumerate(text_lines(path, ConfigError), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -86,12 +84,12 @@ def _build_config(args, header_defaults: dict | None = None) -> ExperimentConfig
         merged.update(header_defaults)
     if getattr(args, "config", None):
         for key, raw in _load_config_file(args.config).items():
-            field_name, caster = _SETTINGS[key]
+            field_name, caster, _ = _SETTINGS[key]
             try:
                 merged[field_name] = caster(raw)
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
-    for dest, (field_name, _) in _SETTINGS.items():
+    for dest, (field_name, _, _) in _SETTINGS.items():
         value = getattr(args, dest, None)
         if value is not None:
             merged[field_name] = value
@@ -104,23 +102,8 @@ def _add_settings(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("experiment settings")
     g.add_argument("--config", metavar="FILE",
                    help="flat key=value settings file; flags override it")
-    g.add_argument("--systems", type=int, help="number of systems to synthesize")
-    g.add_argument("--world-states", type=int, dest="world_states",
-                   help="world states per system (default 75)")
-    g.add_argument("--categories", type=int, help="number of object categories")
-    g.add_argument("--particles", type=int, help="particle count (default 100)")
-    g.add_argument("--ess-threshold", type=float, dest="ess_threshold",
-                   help="resample when ESS drops below this fraction (default 0.5)")
-    g.add_argument("--frames-min", type=int, dest="frames_min")
-    g.add_argument("--frames-max", type=int, dest="frames_max")
-    g.add_argument("--count-min", type=int, dest="count_min")
-    g.add_argument("--count-max", type=int, dest="count_max")
-    g.add_argument("--beta-alpha", type=float, dest="beta_alpha")
-    g.add_argument("--beta-beta", type=float, dest="beta_beta")
-    g.add_argument("--poisson-lambda", type=float, dest="poisson_lambda")
-    g.add_argument("--seed", type=int, help="root seed (default 0)")
-    g.add_argument("--models", help="comma list from: " + ",".join(ALL_MODELS))
-    g.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
+    for dest, (_, caster, help_text) in _SETTINGS.items():
+        g.add_argument("--" + dest.replace("_", "-"), dest=dest, type=caster, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,10 +163,7 @@ def _dispatch(args) -> int:
         if args.vocab:
             vocabulary = [v.strip() for v in args.vocab.split(",") if v.strip()]
         else:
-            vpath = Path(args.vocab_file)
-            if not vpath.exists():
-                raise InputError(f"vocabulary file not found: {args.vocab_file}")
-            vocabulary = [line.strip() for line in text_lines(vpath, InputError)
+            vocabulary = [line.strip() for line in text_lines(args.vocab_file, InputError)
                           if line.strip()]
         if not vocabulary:
             raise ConfigError("the vocabulary is empty")

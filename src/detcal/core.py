@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import statistics
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations, compress
@@ -187,23 +186,6 @@ def xlogy(x, y):
         return np.where(x == 0, 0.0, x * np.log(y))
 
 
-def _elementwise(fn, x):
-    """The scalar function fn applied to every entry of x, keeping its shape."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.array([fn(v) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
-
-
-def ndtr(z):
-    """Standard normal CDF, through erfc so both tails keep their relative accuracy."""
-    return 0.5 * _elementwise(math.erfc, -np.asarray(z, dtype=np.float64) / math.sqrt(2.0))
-
-
-def ndtri(p):
-    """Inverse of ``ndtr``: -inf at p = 0 and +inf at p = 1."""
-    return _elementwise(lambda v: math.copysign(math.inf, v - 0.5) if v in (0.0, 1.0)
-                        else statistics.NormalDist().inv_cdf(v), p)
-
-
 def beta_sample(alpha: float, beta: float, rng: np.random.Generator, size=None):
     """Beta(alpha, beta) draw(s)."""
     if alpha <= 0 or beta <= 0:
@@ -261,50 +243,6 @@ def truncated_poisson_sample(lam: float, lo: int, hi: int, rng: np.random.Genera
     if size is None:
         return int(lo + idx)
     return (lo + idx).astype(np.int64)
-
-
-def truncated_normal_sample(mu, sigma: float, rng: np.random.Generator,
-                            lo: float = 0.0, hi: float = 1.0):
-    """Normal(mu, sigma^2) conditioned on (lo, hi), via inverse CDF.
-
-    Returns values strictly inside the interval (endpoints are clipped off
-    at machine-epsilon scale so downstream log densities stay finite).
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    mu = np.asarray(mu, dtype=np.float64)
-    a = ndtr((lo - mu) / sigma)
-    b = ndtr((hi - mu) / sigma)
-    u = a + (b - a) * rng.random(mu.shape if mu.shape else None)
-    x = mu + sigma * ndtri(u)
-    eps = 1e-12
-    return np.clip(x, lo + eps, hi - eps)
-
-
-def truncated_normal_log_density(x, mu, sigma: float,
-                                 lo: float = 0.0, hi: float = 1.0):
-    """Log density of the truncated normal above; -inf outside (lo, hi)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    z = ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)
-    logpdf = (-0.5 * ((x - mu) / sigma) ** 2
-              - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
-              - np.log(z))
-    return np.where((x > lo) & (x < hi), logpdf, -np.inf)
-
-
-def truncated_normal_log_normalizer(mu, sigma: float,
-                                    lo: float = 0.0, hi: float = 1.0):
-    """log of the mass a Normal(mu, sigma^2) places on (lo, hi).
-
-    This is the piece of the proposal density that depends on the chain's
-    current position, hence the whole of the Hastings correction for the
-    random-walk proposal.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    return np.log(ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -179,12 +179,14 @@ def parse_record(line, kind: str) -> dict:
 def text_lines(path, error):
     """The lines of the UTF-8 file at ``path``, read lazily.
 
-    A byte sequence that is not UTF-8 raises ``error`` naming the file, so
-    each caller's error class picks the exit code.
+    A missing file or a byte sequence that is not UTF-8 raises ``error``
+    naming the file, so each caller's error class picks the exit code.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             yield from fh
+    except FileNotFoundError as exc:
+        raise error(f"{path}: file not found") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
 

@@ -168,10 +168,7 @@ def category_settings(num_categories: int,
 
 def corpus_settings(corpus_path) -> dict:
     """The settings a corpus header records, as defaults for runs over it."""
-    path = Path(corpus_path)
-    if not path.exists():
-        raise InputError(f"corpus file not found: {corpus_path}")
-    corpus = read_corpus(path)
+    corpus = read_corpus(corpus_path)
     out = {"num_categories": corpus.num_categories,
            **ExperimentConfig.prior_settings(corpus.prior)}
     if corpus.num_systems:
@@ -446,8 +443,6 @@ def run_command(config: ExperimentConfig, corpus_path, out_path):
             raise ConfigError(
                 f"the {MODEL_FIXED_PRIOR} model cannot run under this prior ({exc}); "
                 "drop it from --models") from exc
-    if not corpus_path.exists():
-        raise InputError(f"corpus file not found: {corpus_path}")
     corpus = read_corpus(corpus_path)
     if corpus.num_categories != config.num_categories:
         raise InputError(
@@ -525,8 +520,6 @@ def ingest_command(config: ExperimentConfig, percepts_path, vocabulary,
     from .dataset import ingest_percept_groups
 
     out_path = Path(out_path)
-    if not Path(percepts_path).exists():
-        raise InputError(f"percept file not found: {percepts_path}")
     groups = ingest_percept_groups(percepts_path, vocabulary)
     c = len(vocabulary)
     config = replace(config, **category_settings(c, config.count_max))
@@ -602,8 +595,6 @@ def report_command(results_paths, out_dir, models=None,
     prior = None
     for path in results_paths:
         path = Path(path)
-        if not path.exists():
-            raise InputError(f"results file not found: {path}")
         if prior is None:
             manifest = read_manifest(path)
             if manifest is not None:

@@ -19,10 +19,10 @@ O(M*C*hi) per step; the online MAP is then the best of the particles' own
 MAP states under the mixture. The retrospective readout uses these sums at
 every count, so only this filter and ``rejuvenate`` enumerate states.
 
-``rejuvenate`` runs one Metropolis-Hastings sweep over a single particle's
-point rates against its full observation history, with the states summed
-out by enumeration. ``ParticleEnsemble.particle`` materializes a
-per-particle view for inspection.
+``rejuvenate`` runs one Metropolis sweep, a reflected Gaussian random walk,
+over a single particle's point rates against its full observation history,
+with the states summed out by enumeration. ``ParticleEnsemble.particle``
+materializes a per-particle view for inspection.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from .core import (
     pinned_terms,
     state_log_joint,
     state_log_predictive,
-    truncated_normal_log_normalizer,
-    truncated_normal_sample,
 )
 
 logger = logging.getLogger(__name__)
@@ -117,6 +115,11 @@ def _softmax_rows(ll: np.ndarray) -> np.ndarray:
     total = e.sum(axis=-1, keepdims=True)
     uniform = 1.0 / ll.shape[-1]
     return np.where(total > 0.0, e / np.where(total > 0.0, total, 1.0), uniform)
+
+
+def _effective_sample_size(weights: np.ndarray) -> float:
+    """1 / sum(w^2) of normalized weights."""
+    return float(1.0 / np.sum(weights * weights))
 
 
 def _inverse_cdf(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -192,8 +195,7 @@ class ParticleEnsemble:
 
     @property
     def effective_sample_size(self) -> float:
-        w = self.weights
-        return float(1.0 / np.sum(w * w))
+        return _effective_sample_size(self.weights)
 
     def particle(self, m: int) -> Particle:
         """Materialize particle m (copies; edits do not write back)."""
@@ -333,16 +335,26 @@ def _refresh_posteriors(post, q_present, space: StateSpace, idx, fa, miss,
     q_present[idx] = post[idx] @ space.presence
 
 
+def _reflect_into_unit(x):
+    """x folded into (0, 1) by reflection at both ends, then kept
+    ``_INTERIOR_EPS`` off them so the logs of a rate stay finite."""
+    y = np.abs(x) % 2.0
+    return np.clip(np.minimum(y, 2.0 - y), _INTERIOR_EPS, 1.0 - _INTERIOR_EPS)
+
+
 def _rejuvenation_sweep(fa, miss, post, counts, frames, space: StateSpace,
                         prior: PriorConfig, sigma: float,
                         rng: np.random.Generator) -> None:
-    """One randomized Metropolis-Hastings pass over all 2C rate entries.
+    """One randomized Metropolis pass over all 2C rate entries.
 
-    Operates on the arrays in place, vectorized across particles. Per
-    observation the entry's likelihood ratio is log(q * exp(delta) + 1 - q),
-    where q is the mass the conditionals ``post`` put on the states the
-    entry touches, so the target is the full-history marginal (states
-    summed out); accepted moves recompute ``post``.
+    Operates on the arrays in place, vectorized across particles. Each entry
+    proposes a Gaussian step of scale ``sigma`` reflected into (0, 1); the
+    reflected walk is symmetric, so the acceptance ratio is prior times
+    likelihood with no Hastings term. Per observation the entry's
+    likelihood ratio is log(q * exp(delta) + 1 - q), where q is the mass the
+    conditionals ``post`` put on the states the entry touches, so the target
+    is the full-history marginal (states summed out); accepted moves
+    recompute ``post``.
     """
     m, c = fa.shape
     a, b = prior.beta_alpha, prior.beta_beta
@@ -352,7 +364,7 @@ def _rejuvenation_sweep(fa, miss, post, counts, frames, space: StateSpace,
         is_fa = entry < c
         cat = int(entry % c)
         value = fa[:, cat].copy() if is_fa else miss[:, cat].copy()
-        proposal = truncated_normal_sample(value, sigma, rng)
+        proposal = _reflect_into_unit(value + sigma * rng.standard_normal(m))
         kc = counts[:, cat]
         rc = frames - kc
         # Per-observation log-likelihood shift of the touched states if the
@@ -363,9 +375,8 @@ def _rejuvenation_sweep(fa, miss, post, counts, frames, space: StateSpace,
         # (p = 1 - miss). Values are nudged off exact 0/1 so the logs stay
         # finite for hand-built degenerate systems.
         v_in = np.clip(value, _INTERIOR_EPS, 1.0 - _INTERIOR_EPS)
-        p_in = proposal  # sampler already returns interior values
-        log_hit = np.log(p_in) - np.log(v_in)
-        log_rej = np.log1p(-p_in) - np.log1p(-v_in)
+        log_hit = np.log(proposal) - np.log(v_in)
+        log_rej = np.log1p(-proposal) - np.log1p(-v_in)
         if is_fa:
             delta = log_hit[:, None] * kc + log_rej[:, None] * rc
         else:
@@ -380,11 +391,7 @@ def _rejuvenation_sweep(fa, miss, post, counts, frames, space: StateSpace,
         d_lik = per_obs.sum(axis=1)
 
         d_prior = beta_log_density(proposal, a, b) - beta_log_density(value, a, b)
-        # Hastings correction: only the truncation normalizer depends on the
-        # proposal center, so the q-ratio reduces to Z(value)/Z(proposal).
-        d_move = (truncated_normal_log_normalizer(value, sigma)
-                  - truncated_normal_log_normalizer(proposal, sigma))
-        log_alpha = d_lik + d_prior + d_move
+        log_alpha = d_lik + d_prior
         accept = np.log(rng.random(m)) < log_alpha
         if not accept.any():
             continue
@@ -450,20 +457,22 @@ def _learning_step(ens: ParticleEnsemble, stats: DetectionStats) -> None:
         ll = state_log_predictive(counts, stats.frame_count, ens.a_fa, ens.b_fa,
                                   ens.a_miss, ens.b_miss, space)
         ens.log_weights += logsumexp(ll, axis=1)
+        weights = ens.weights
         ens.beliefs = _softmax_rows(ll)
-        ens._maps.append(space.states[int(np.argmax(ens.weights @ ens.beliefs))])
-        _resample_if_degenerate(ens)
+        ens._maps.append(space.states[int(np.argmax(weights @ ens.beliefs))])
+        _resample_if_degenerate(ens, weights)
         present = space.presence[_inverse_cdf(ens.beliefs, ens.rng)] > 0.0
     else:
         sums = SceneSums(*beta_predictive_terms(counts, stats.frame_count, ens.a_fa,
                                                 ens.b_fa, ens.a_miss, ens.b_miss), ens.prior)
         ens.log_weights += sums.log_evidence
+        weights = ens.weights
         # the mixture's best among the particles' own MAP states, in bit order
         candidates = np.unique(sums.map_states()[0], axis=0)
-        mixture = np.exp(sums.log_posterior(candidates)) @ ens.weights
+        mixture = np.exp(sums.log_posterior(candidates)) @ weights
         best = candidates[int(np.argmax(mixture))]
         ens._maps.append(frozenset(np.flatnonzero(best).tolist()))
-        idx = _resample_if_degenerate(ens)
+        idx = _resample_if_degenerate(ens, weights)
         if idx is not None:
             sums.reorder(idx)
         present = sums.draw(ens.rng)
@@ -475,12 +484,14 @@ def _learning_step(ens: ParticleEnsemble, stats: DetectionStats) -> None:
     ens.b_miss += present * counts
 
 
-def _resample_if_degenerate(ensemble: ParticleEnsemble) -> np.ndarray | None:
-    """Resample when the ESS is low; returns the ancestor indices, if any."""
+def _resample_if_degenerate(ensemble: ParticleEnsemble,
+                            weights: np.ndarray) -> np.ndarray | None:
+    """Resample when the ESS of ``weights``, the ensemble's normalized
+    weights, is low; returns the ancestor indices, if any."""
     threshold = ensemble.config.ess_resample_threshold * ensemble.num_particles
-    if ensemble.effective_sample_size >= threshold:
+    if _effective_sample_size(weights) >= threshold:
         return None
-    idx = systematic_resample(ensemble.weights, ensemble.rng)
+    idx = systematic_resample(weights, ensemble.rng)
     ensemble._reorder(idx)
     return idx
 
@@ -498,9 +509,9 @@ def estimate_v(ensemble: ParticleEnsemble) -> MetaEstimate:
     w = ensemble.weights
     uniform = bool(np.ptp(ensemble.log_weights) < 1e-12)
     ensemble.estimate_used_weights = not uniform
-    if not uniform:
+    if not uniform and logger.isEnabledFor(logging.DEBUG):
         logger.debug("estimate_v on non-uniform weights (ESS %.1f of %d)",
-                     ensemble.effective_sample_size, ensemble.num_particles)
+                     _effective_sample_size(w), ensemble.num_particles)
     fa, miss = ensemble.rates()
     return VisualSystem(fa=w @ fa, miss=w @ miss)
 

@@ -390,6 +390,28 @@ def test_input_that_is_not_utf8_exits_with_its_code(tmp_path, caplog, case, code
     assert f"{bad}: not UTF-8" in caplog.text
 
 
+@pytest.mark.parametrize("case, code", [("config", EXIT_CONFIG), ("vocab_file", EXIT_INPUT),
+                                        ("corpus", EXIT_INPUT), ("run_corpus", EXIT_INPUT),
+                                        ("percepts", EXIT_INPUT), ("results", EXIT_INPUT)])
+def test_missing_input_file_exits_with_its_code(tmp_path, monkeypatch, caplog, case, code):
+    missing = tmp_path / "absent.txt"
+    out = str(tmp_path / "out.jsonl")
+    argv = {
+        "config": ["synth", "--out", out, "--config", str(missing)],
+        "vocab_file": ["ingest", str(tmp_path / "p.jsonl"), "--out", out,
+                       "--vocab-file", str(missing)],
+        "corpus": ["run", str(missing), "--out", out],
+        "run_corpus": ["run", str(missing), "--out", out, *SMALL],
+        "percepts": ["ingest", str(missing), "--out", out, "--vocab", "a,b"],
+        "results": ["report", str(missing), "--out", str(tmp_path / "rep")],
+    }[case]
+    if case == "run_corpus":
+        # no corpus header to read settings from, so `run_command` meets the file first
+        monkeypatch.setattr("detcal.cli.corpus_settings", lambda path: {})
+    assert main(argv) == code
+    assert f"{missing}: file not found" in caplog.text
+
+
 class TestIngest:
     def test_cross_path_equivalence_with_run(self, tmp_path):
         corpus = tmp_path / "c.jsonl"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
-from scipy.stats import norm
 
 from detcal import core
 from detcal.core import (
@@ -17,20 +16,17 @@ from detcal.core import (
     count_log_prior,
     enumerate_world_states,
     logsumexp,
-    ndtr,
-    ndtri,
     observation_log_likelihood,
     render_percepts,
     sample_visual_system,
     sample_world_state,
     state_log_joint,
-    truncated_normal_log_density,
-    truncated_normal_sample,
     truncated_poisson_pmf,
     truncated_poisson_sample,
     world_state_log_prior,
     xlogy,
 )
+from detcal.inference import Particle, ParticleFilterConfig, rejuvenate
 from oracles import (
     enumerate_states_oracle,
     observation_loglik_oracle,
@@ -143,40 +139,6 @@ class TestTruncatedPoisson:
             truncated_poisson_sample(lam, lo, hi, rng)
             assert [truncated_poisson_pmf(n, lam, lo, hi)
                     for n in range(lo, hi + 1)] == values
-
-
-class TestTruncatedNormal:
-    def test_symmetric_center(self, rng):
-        draws = truncated_normal_sample(np.full(1_000_000, 0.5), 0.1, rng)
-        assert abs(draws.mean() - 0.5) < 1e-3
-
-    def test_respects_bounds(self, rng):
-        draws = truncated_normal_sample(np.zeros(100_000), 0.1, rng)
-        assert draws.min() > 0.0 and draws.max() < 1.0
-
-    def test_density_matches_normal_when_truncation_negligible(self):
-        # at mu=0.5, sigma=0.1 the (0,1) truncation removes ~5.7e-7 of mass
-        ours = math.exp(float(truncated_normal_log_density(0.5, 0.5, 0.1)))
-        plain = norm.pdf(0.5, loc=0.5, scale=0.1)
-        assert abs(ours / plain - 1.0) < 1e-6
-
-    def test_density_integrates_to_one(self):
-        grid = np.linspace(1e-9, 1 - 1e-9, 200_001)
-        dens = np.exp(truncated_normal_log_density(grid, 0.2, 0.15))
-        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
-
-    def test_sigma_validation(self, rng):
-        with pytest.raises(ValueError):
-            truncated_normal_sample(0.5, 0.0, rng)
-
-    def test_normal_cdf_and_quantile_match_scipy(self):
-        z = np.linspace(-10.0, 10.0, 2001)
-        np.testing.assert_allclose(ndtr(z), special.ndtr(z), rtol=1e-13, atol=0)
-        p = special.ndtr(z)
-        p = p[(p > 0.0) & (p < 1.0)]
-        np.testing.assert_allclose(ndtri(p), special.ndtri(p), rtol=1e-14, atol=1e-14)
-        assert ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
-        assert float(ndtr(-np.inf)) == 0.0 and float(ndtr(np.inf)) == 1.0
 
 
 class TestLogsumexp:
@@ -414,8 +376,12 @@ class TestDeterminism:
             frozenset({1}), vb, 4, b)
         assert truncated_poisson_sample(1.0, 1, 5, a) == truncated_poisson_sample(
             1.0, 1, 5, b)
-        assert np.array_equal(truncated_normal_sample(np.full(4, 0.3), 0.1, a),
-                              truncated_normal_sample(np.full(4, 0.3), 0.1, b))
+        particle = Particle(v_hat=VisualSystem(fa=np.full(5, 0.3), miss=np.full(5, 0.3)),
+                            world_beliefs=[], log_weight=0.0)
+        history = [DetectionStats(counts=np.array([4, 0, 1, 0, 2]), frame_count=4)]
+        moved = [rejuvenate(particle, history, ParticleFilterConfig(), prior, g).v_hat
+                 for g in (a, b)]
+        assert np.array_equal(moved[0].as_flat(), moved[1].as_flat())
 
 
 class TestTypeValidation:

@@ -4,10 +4,8 @@ The single-particle chain must leave the per-particle target (Beta prior
 times full-history likelihood) invariant. On a one-category problem the
 data-informed rate's posterior can be computed by grid quadrature, and the
 data-free rate must come back as the bare prior, which is exactly the part
-a missing truncation (Hastings) correction would bias.
+a proposal that is not symmetric near the bounds would bias.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -17,9 +15,8 @@ from detcal.core import (
     PriorConfig,
     VisualSystem,
     beta_log_density,
-    truncated_normal_log_normalizer,
 )
-from detcal.inference import Particle, ParticleFilterConfig, rejuvenate
+from detcal.inference import Particle, ParticleFilterConfig, _reflect_into_unit, rejuvenate
 
 
 def one_category_problem():
@@ -76,7 +73,7 @@ class TestChainTargets:
 
     def test_data_free_rate_recovers_the_prior(self):
         # the false-alarm rate never touches data here; any bias near the
-        # bounds would point at a broken truncation correction
+        # bounds would point at a proposal that is not symmetric
         _, fa, _ = run_chain(30_000, 2_000, seed=43)
         prior, _ = one_category_problem()
         grid, w = grid_density([], prior, informed=False)
@@ -89,19 +86,13 @@ class TestChainTargets:
 
 
 class TestMoveIngredients:
-    def test_hastings_term_vanishes_away_from_bounds(self):
-        # with sigma=0.01 the (0,1) truncation is invisible from the center,
-        # so the correction is exactly the ratio of these normalizers
-        assert truncated_normal_log_normalizer(0.5, 0.01) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hastings_term_favors_returning_from_the_edge(self):
-        # a chain sitting near 0 sheds proposal mass over the bound, so the
-        # correction must boost moves back toward the interior
-        z_edge = truncated_normal_log_normalizer(0.02, 0.1)
-        z_mid = truncated_normal_log_normalizer(0.5, 0.1)
-        assert z_edge < z_mid
-        assert z_mid == pytest.approx(0.0, abs=1e-5)
-        assert z_edge == pytest.approx(math.log(0.5793), abs=1e-3)
+    def test_reflection_folds_into_the_unit_interval(self):
+        inside = np.array([1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6])
+        assert np.array_equal(_reflect_into_unit(inside), inside)
+        np.testing.assert_allclose(_reflect_into_unit(np.array([-0.05, 1.05, 2.3, -1.7])),
+                                   [0.05, 0.95, 0.3, 0.3], rtol=0.0, atol=1e-15)
+        edges = _reflect_into_unit(np.array([0.0, 1.0, 2.0, -3.0, 1e300, -1e300]))
+        assert ((edges > 0.0) & (edges < 1.0)).all()
 
     def test_history_is_required(self):
         prior, _ = one_category_problem()
