@@ -17,7 +17,8 @@ from .core import (
     DetectionStats,
     PriorConfig,
     VisualSystem,
-    WorldState,
+    category_sets,
+    presence_masks,
 )
 from .inference import retrospective_infer
 
@@ -37,40 +38,36 @@ class ThresholdPolicy:
         return fractions >= self.theta - 1e-12  # guard k/F == theta roundoff
 
 
-def threshold_infer(observation, policy: ThresholdPolicy = ThresholdPolicy(),
-                    num_categories: int | None = None) -> WorldState:
-    """Categories whose detection fraction clears the threshold.
+def threshold_infer(stats: DetectionStats,
+                    policy: ThresholdPolicy = ThresholdPolicy()) -> list:
+    """Per row of the (T, C) stack, the categories whose detection fraction
+    clears the threshold.
 
-    No prior is applied: the result may be empty or arbitrarily large.
-    ``num_categories`` is only needed when passing a raw Observation.
+    No prior is applied: a scene may be empty or arbitrarily large.
     """
-    stats = DetectionStats.from_observation(observation, num_categories)
-    keep = policy.keeps(stats.counts / stats.frame_count)
-    return frozenset(np.nonzero(keep)[0].tolist())
+    return category_sets(policy.keeps(stats.counts / stats.frame_count[:, None]))
 
 
 def default_threshold_grid() -> np.ndarray:
     return np.round(np.arange(0, 101) * 0.01, 2)
 
 
-def fit_threshold(stats_list, world_states):
+def fit_threshold(stats: DetectionStats, world_states):
     """Supervised grid search for the accuracy-maximizing threshold.
 
-    Unlike everything else here this explicitly needs ground truth. Returns
-    (best theta, its mean exact-match accuracy); ties go to the smallest
-    theta on ``default_threshold_grid()``.
+    Unlike everything else here this explicitly needs ground truth: the
+    scene of each row of the (T, C) stack. Returns (best theta, its mean
+    exact-match accuracy); ties go to the smallest theta on
+    ``default_threshold_grid()``.
     """
-    stats_list = list(stats_list)
     world_states = list(world_states)
-    if not stats_list:
+    if not world_states:
         raise ValueError("cannot fit a threshold on an empty corpus")
-    if len(stats_list) != len(world_states):
+    if len(stats) != len(world_states):
         raise ValueError("observations and ground truth differ in length")
 
-    fractions = np.array([s.counts / s.frame_count for s in stats_list])  # (N, C)
-    present = np.zeros_like(fractions, dtype=bool)
-    for i, w in enumerate(world_states):
-        present[i, sorted(w)] = True
+    fractions = stats.counts / stats.frame_count[:, None]  # (T, C)
+    present = presence_masks(world_states, stats.num_categories)
 
     best_theta, best_acc = None, -1.0
     for theta in default_threshold_grid():
@@ -88,11 +85,12 @@ def fixed_prior_system(prior: PriorConfig, num_categories: int) -> VisualSystem:
                         miss=np.full(num_categories, value))
 
 
-def fixed_prior_infer(observations, prior: PriorConfig, num_categories: int) -> list:
-    """Exact MAP state inference under the prior-pinned error model.
+def fixed_prior_infer(stats: DetectionStats, prior: PriorConfig) -> list:
+    """Exact MAP state of each row of the (T, C) stack under the
+    prior-pinned error model.
 
     This is the learning ablation: same machinery as the retrospective
     pass, but the rates never move off the prior's point estimate.
     """
-    system = fixed_prior_system(prior, num_categories)
-    return retrospective_infer(system, observations, prior, num_categories)
+    system = fixed_prior_system(prior, stats.num_categories)
+    return retrospective_infer(system, stats, prior)

@@ -50,39 +50,49 @@ class Observation:
 
 @dataclass(frozen=True, eq=False)
 class DetectionStats:
-    """Per-category detection counts; the likelihood's sufficient statistic.
-
-    The likelihood of an observation depends on its percepts only through
-    how many of the F frames reported each category.
+    """Detection counts of T observations, stacked: the likelihood's
+    sufficient statistic, how many of observation t's ``frame_count[t]``
+    (T,) frames reported each category, row t of ``counts`` (T, C). One
+    observation is the T = 1 stack, which 1-d counts also give.
     """
 
     counts: np.ndarray
-    frame_count: int
+    frame_count: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.atleast_2d(np.asarray(self.counts, dtype=np.int64))
+        frames = np.atleast_1d(np.asarray(self.frame_count, dtype=np.int64))
         object.__setattr__(self, "counts", counts)
-        if counts.ndim != 1 or counts.size < 1:
-            raise ValueError("counts must be a nonempty 1-d array")
-        if self.frame_count < 1:
+        object.__setattr__(self, "frame_count", frames)
+        if counts.ndim != 2 or counts.shape[1] < 1 or frames.shape != counts.shape[:1]:
+            raise ValueError("counts must be (T, C) with C >= 1 and frame_count (T,)")
+        if (frames < 1).any():
             raise ValueError("frame_count must be >= 1")
-        if counts.min() < 0 or counts.max() > self.frame_count:
+        if (counts < 0).any() or (counts > frames[:, None]).any():
             raise ValueError("counts must lie in [0, frame_count]")
 
     @classmethod
-    def from_observation(cls, observation, num_categories: int) -> "DetectionStats":
-        """Counts of an Observation; stats given as DetectionStats come back unchanged."""
-        if isinstance(observation, cls):
-            return observation
-        counts = np.zeros(num_categories, dtype=np.int64)
-        for percept in observation.percepts:
-            for c in percept:
-                counts[c] += 1
-        return cls(counts=counts, frame_count=observation.frame_count)
+    def from_observations(cls, observations, num_categories: int) -> "DetectionStats":
+        """The stack of ``observations``: one bincount over (observation,
+        category) pairs; a percept is a set, so it reports a category once."""
+        frames = [len(o.percepts) for o in observations]
+        cats = np.array([c for o in observations for p in o.percepts for c in p], dtype=np.int64)
+        if ((cats < 0) | (cats >= num_categories)).any():
+            raise ValueError(f"category indices must lie in 0..{num_categories - 1}")
+        rows = np.repeat(np.arange(len(frames)), [sum(map(len, o.percepts)) for o in observations])
+        counts = np.bincount(rows * num_categories + cats, minlength=len(frames) * num_categories)
+        return cls(counts=counts.reshape(len(frames), num_categories), frame_count=frames)
+
+    def __len__(self) -> int:
+        return self.frame_count.shape[0]
+
+    def __getitem__(self, rows) -> "DetectionStats":
+        """Row t as a T = 1 stack, or the stack of a slice of rows."""
+        return DetectionStats(counts=self.counts[rows], frame_count=self.frame_count[rows])
 
     @property
     def num_categories(self) -> int:
-        return self.counts.shape[0]
+        return self.counts.shape[1]
 
 
 @dataclass(eq=False)
@@ -98,7 +108,7 @@ class VisualSystem:
         if self.fa.shape != self.miss.shape or self.fa.ndim != 1:
             raise ValueError("fa and miss must be 1-d arrays of equal length")
         for name, arr in (("fa", self.fa), ("miss", self.miss)):
-            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+            if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both
                 raise ValueError(f"{name} rates must lie in [0, 1]")
 
     @property
@@ -139,10 +149,10 @@ class PriorConfig:
     frames_bounds: tuple = (5, 15)
 
     def __post_init__(self):
-        if self.beta_alpha <= 0 or self.beta_beta <= 0:
-            raise ValueError("beta shape parameters must be positive")
-        if self.poisson_lambda <= 0:
-            raise ValueError("poisson_lambda must be positive")
+        if not all(0 < x < math.inf for x in (self.beta_alpha, self.beta_beta)):
+            raise ValueError("beta shape parameters must be positive and finite")
+        if not 0 < self.poisson_lambda < math.inf:
+            raise ValueError("poisson_lambda must be positive and finite")
         lo, hi = self.count_bounds
         if not (0 <= lo <= hi):
             raise ValueError(f"count_bounds {self.count_bounds} must satisfy 0 <= lo <= hi")
@@ -248,6 +258,19 @@ def truncated_poisson_sample(lam: float, lo: int, hi: int, rng: np.random.Genera
 # ---------------------------------------------------------------------------
 # World states
 # ---------------------------------------------------------------------------
+
+def presence_masks(world_states, num_categories: int) -> np.ndarray:
+    """(T, C) masks of the categories present in each of T world states."""
+    worlds = list(world_states)
+    present = np.zeros((len(worlds), num_categories), dtype=bool)
+    present[[t for t, w in enumerate(worlds) for _ in w], [c for w in worlds for c in w]] = True
+    return present
+
+
+def category_sets(masks) -> list:
+    """The set of the categories marked in each row of (T, C) ``masks``."""
+    return [frozenset(compress(range(masks.shape[1]), row)) for row in masks.tolist()]
+
 
 def sample_world_state(prior: PriorConfig, num_categories: int,
                        rng: np.random.Generator) -> WorldState:
@@ -458,14 +481,12 @@ def render_percepts(world: WorldState, system: VisualSystem, frames: int,
     present = list(world)
     p_detect = system.fa.copy()
     p_detect[present] = 1.0 - system.miss[present]
-    detected = rng.random((frames, system.num_categories)) < p_detect
-    categories = range(system.num_categories)
-    return tuple(frozenset(compress(categories, row)) for row in detected.tolist())
+    return tuple(category_sets(rng.random((frames, system.num_categories)) < p_detect))
 
 
 def observation_log_likelihood(stats: DetectionStats, world: WorldState,
                                system: VisualSystem) -> float:
-    """log P(observation | world, system) from the sufficient statistics.
+    """log P(observation | world, system) from a one-observation stack.
 
     Equals the log of the product over all F percepts of the per-percept
     probability: present categories are detected with probability

@@ -203,9 +203,9 @@ class RunResult:
     def num_observations(self) -> int:
         return len(self.world_states)
 
-    def stats(self) -> list:
-        return [DetectionStats(counts=np.asarray(k), frame_count=f)
-                for k, f in zip(self.detect_counts, self.frame_counts)]
+    def stats(self) -> DetectionStats:
+        """The run's (T, C) detection counts as one stack."""
+        return DetectionStats(counts=self.detect_counts, frame_count=self.frame_counts)
 
     def to_record(self) -> dict:
         return {
@@ -251,15 +251,14 @@ def evaluate_run(run: Run, config: ExperimentConfig, run_index: int) -> RunResul
     """Run the selected models over one run's observations."""
     prior = config.prior()
     c = config.num_categories
-    stats = [DetectionStats.from_observation(o, c) for o in run.observations]
-    zeta = [observation_noise(w, s, c) for w, s in zip(run.world_states, stats)]
+    stats = DetectionStats.from_observations(run.observations, c)
     result = RunResult(
         run_id=run.run_id,
         num_categories=c,
         world_states=list(run.world_states),
-        frame_counts=[s.frame_count for s in stats],
-        detect_counts=[s.counts.tolist() for s in stats],
-        zeta=zeta,
+        frame_counts=stats.frame_count.tolist(),
+        detect_counts=stats.counts.tolist(),
+        zeta=observation_noise(run.world_states, stats),
         v_true=run.v_true.as_flat().tolist(),
     )
 
@@ -272,12 +271,11 @@ def evaluate_run(run: Run, config: ExperimentConfig, run_index: int) -> RunResul
         mse = [meta_mse(run.v_true, e) for e in [trace.initial_estimate, *trace.estimates]]
         result.mse_combined, result.mse_fa, result.mse_miss = map(list, zip(*mse))
         if MODEL_RETRO in config.models:
-            result.maps[MODEL_RETRO] = retrospective_infer(v_hat, stats, prior, c)
+            result.maps[MODEL_RETRO] = retrospective_infer(v_hat, stats, prior)
     if MODEL_THRESHOLD in config.models:
-        policy = ThresholdPolicy()
-        result.maps[MODEL_THRESHOLD] = [threshold_infer(s, policy) for s in stats]
+        result.maps[MODEL_THRESHOLD] = threshold_infer(stats)
     if MODEL_FIXED_PRIOR in config.models:
-        result.maps[MODEL_FIXED_PRIOR] = fixed_prior_infer(stats, prior, c)
+        result.maps[MODEL_FIXED_PRIOR] = fixed_prior_infer(stats, prior)
     return result
 
 
@@ -524,12 +522,12 @@ def ingest_command(config: ExperimentConfig, percepts_path, vocabulary,
     c = len(vocabulary)
     config = replace(config, **category_settings(c, config.count_max))
     prior = config.prior()
-    stats = [DetectionStats.from_observation(obs, c) for _, obs in groups]
+    stats = DetectionStats.from_observations([obs for _, obs in groups], c)
     rng = np.random.default_rng(inference_seed(config.seed, 0))
     trace = run_filter(stats, config.filter_config(), prior, c, rng=rng)
     v_hat = trace.final_estimate
     from .inference import retrospective_map_with_mass
-    retro = retrospective_map_with_mass(v_hat, stats, prior, c)
+    retro = retrospective_map_with_mass(v_hat, stats, prior)
 
     head = {"record": "inferences", "schema_version": SCHEMA_VERSION,
             "v_hat": v_hat.as_flat().tolist(),
@@ -669,20 +667,18 @@ def report_command(results_paths, out_dir, models=None,
         theta = ThresholdPolicy().theta if m == MODEL_THRESHOLD else ""
         rows.append([m, float(np.mean(pooled[m])), theta, total_obs])
 
-    all_stats = [s for r in results for s in r.stats()]
-    all_truth = [w for r in results for w in r.world_states]
-    theta, acc = fit_threshold(all_stats, all_truth)
+    runs = [r.stats() for r in results]
+    stats = DetectionStats(counts=np.concatenate([s.counts for s in runs]),
+                           frame_count=np.concatenate([s.frame_count for s in runs]))
+    truth = [w for r in results for w in r.world_states]
+    theta, acc = fit_threshold(stats, truth)
     rows.append([FITTED_ROW, acc, theta, total_obs])
-    half = max(1, len(results) // 2)
     if len(results) >= 2:
-        fit_stats = [s for r in results[:half] for s in r.stats()]
-        fit_truth = [w for r in results[:half] for w in r.world_states]
-        theta_h, _ = fit_threshold(fit_stats, fit_truth)
-        eval_stats = [s for r in results[half:] for s in r.stats()]
-        eval_truth = [w for r in results[half:] for w in r.world_states]
-        policy = ThresholdPolicy(theta=theta_h)
-        bits = [world_state_accuracy(w, threshold_infer(s, policy))
-                for s, w in zip(eval_stats, eval_truth)]
+        # the first half of the runs fits theta, the rest scores it
+        cut = sum(r.num_observations for r in results[:len(results) // 2])
+        theta_h, _ = fit_threshold(stats[:cut], truth[:cut])
+        guesses = threshold_infer(stats[cut:], ThresholdPolicy(theta=theta_h))
+        bits = [world_state_accuracy(w, g) for w, g in zip(truth[cut:], guesses)]
         rows.append([FITTED_HOLDOUT_ROW, float(np.mean(bits)), theta_h, len(bits)])
     lo, hi = prior.count_bounds
     rows.append([CHANCE_ROW,

@@ -36,13 +36,13 @@ import numpy as np
 from .core import (
     DetectionStats,
     MetaEstimate,
-    Observation,
     PriorConfig,
     StateSpace,
     VisualSystem,
     WorldState,
     beta_log_density,
     beta_predictive_terms,
+    category_sets,
     count_log_prior,
     logsumexp,
     pinned_terms,
@@ -403,21 +403,20 @@ def _rejuvenation_sweep(fa, miss, post, counts, frames, space: StateSpace,
         _refresh_posteriors(post, q_present, space, idx, fa, miss, counts, frames)
 
 
-def rejuvenate(particle: Particle, history, config: ParticleFilterConfig,
+def rejuvenate(particle: Particle, history: DetectionStats, config: ParticleFilterConfig,
                prior: PriorConfig, rng: np.random.Generator) -> Particle:
     """One rejuvenation sweep on a single particle; returns the moved particle.
 
-    ``history`` is the sequence of DetectionStats the particle has absorbed.
+    ``history`` is the stack of the observations the particle has absorbed.
     Useful on its own for running plain MCMC chains over the rates.
     """
-    history = list(history)
-    if not history:
+    if not len(history):
         raise ValueError("rejuvenation needs a nonempty observation history")
     space = StateSpace.build(prior, particle.v_hat.num_categories)
     fa = particle.v_hat.fa[None, :].copy()
     miss = particle.v_hat.miss[None, :].copy()
-    counts = np.array([s.counts for s in history], dtype=np.float64)
-    frames = np.array([s.frame_count for s in history], dtype=np.float64)
+    counts = history.counts.astype(np.float64)
+    frames = history.frame_count.astype(np.float64)
     post = _history_posteriors(fa, miss, counts, frames, space)
     _rejuvenation_sweep(fa, miss, post, counts, frames, space, prior,
                         config.proposal_sigma, rng)
@@ -431,8 +430,9 @@ def rejuvenate(particle: Particle, history, config: ParticleFilterConfig,
 # ---------------------------------------------------------------------------
 
 def assimilate_observation(ensemble: ParticleEnsemble,
-                           observation: Observation | DetectionStats) -> ParticleEnsemble:
-    """Absorb one observation: weight, read out, maybe resample, then draw.
+                           stats: DetectionStats) -> ParticleEnsemble:
+    """Absorb one observation, a T = 1 stack: weight, read out, maybe
+    resample, then draw.
 
     Each particle's weight is multiplied by its exact one-step predictive
     summed over all valid world states, the online MAP is read from the
@@ -440,21 +440,20 @@ def assimilate_observation(ensemble: ParticleEnsemble,
     resampling each particle draws its state from its own posterior and
     adds that state's counts.
     """
-    stats = DetectionStats.from_observation(observation, ensemble.num_categories)
-    if stats.num_categories != ensemble.num_categories:
-        raise ValueError("observation does not match the ensemble's category count")
+    if stats.counts.shape != (1, ensemble.num_categories):
+        raise ValueError("expected one observation of the ensemble's category count")
     ensemble.num_observations += 1
-    _learning_step(ensemble, stats)
+    _learning_step(ensemble, stats.counts[0].astype(np.float64), stats.frame_count[0])
     return ensemble
 
 
-def _learning_step(ens: ParticleEnsemble, stats: DetectionStats) -> None:
-    """Weight, read out, maybe resample, then draw each particle's state."""
-    counts = stats.counts.astype(np.float64)
-    rest = stats.frame_count - counts
+def _learning_step(ens: ParticleEnsemble, counts: np.ndarray, frames) -> None:
+    """Weight, read out, maybe resample, then draw each particle's state,
+    for one observation's ``counts`` (C,) of ``frames`` frames."""
+    rest = frames - counts
     if ens.space is not None:
         space = ens.space
-        ll = state_log_predictive(counts, stats.frame_count, ens.a_fa, ens.b_fa,
+        ll = state_log_predictive(counts, frames, ens.a_fa, ens.b_fa,
                                   ens.a_miss, ens.b_miss, space)
         ens.log_weights += logsumexp(ll, axis=1)
         weights = ens.weights
@@ -463,7 +462,7 @@ def _learning_step(ens: ParticleEnsemble, stats: DetectionStats) -> None:
         _resample_if_degenerate(ens, weights)
         present = space.presence[_inverse_cdf(ens.beliefs, ens.rng)] > 0.0
     else:
-        sums = SceneSums(*beta_predictive_terms(counts, stats.frame_count, ens.a_fa,
+        sums = SceneSums(*beta_predictive_terms(counts, frames, ens.a_fa,
                                                 ens.b_fa, ens.a_miss, ens.b_miss), ens.prior)
         ens.log_weights += sums.log_evidence
         weights = ens.weights
@@ -529,15 +528,15 @@ def online_map_world_state(ensemble: ParticleEnsemble, t: int) -> WorldState:
     return ensemble._maps[t]
 
 
-def run_filter(observations, config: ParticleFilterConfig, prior: PriorConfig,
+def run_filter(stats: DetectionStats, config: ParticleFilterConfig, prior: PriorConfig,
                num_categories: int, *,
                rng: np.random.Generator | None = None) -> PosteriorTrace:
-    """Drive the filter over a full observation sequence and collect readouts."""
+    """Drive the filter over a run's (T, C) stack, row by row, and collect readouts."""
     ensemble = init_ensemble(config, prior, num_categories, rng=rng)
     trace = PosteriorTrace()
     trace.initial_estimate = estimate_v(ensemble)
-    for t, obs in enumerate(observations):
-        assimilate_observation(ensemble, obs)
+    for t in range(len(stats)):
+        assimilate_observation(ensemble, stats[t])
         trace.estimates.append(estimate_v(ensemble))
         trace.map_states.append(online_map_world_state(ensemble, t))
     return trace
@@ -547,9 +546,9 @@ def run_filter(observations, config: ParticleFilterConfig, prior: PriorConfig,
 # Retrospective re-inference
 # ---------------------------------------------------------------------------
 
-def retrospective_map_with_mass(v_mu: MetaEstimate, observations,
-                                prior: PriorConfig, num_categories: int):
-    """Exact per-observation MAP states under a fixed rate estimate.
+def retrospective_map_with_mass(v_mu: MetaEstimate, stats: DetectionStats,
+                                prior: PriorConfig):
+    """Exact MAP state of each row of the (T, C) stack under a fixed rate estimate.
 
     With the rates pinned the states decouple across observations, and
     ``SceneSums`` reads them all out at once. Returns (state, its posterior
@@ -557,16 +556,12 @@ def retrospective_map_with_mass(v_mu: MetaEstimate, observations,
     under equal rates; ties exact only in real arithmetic, such as one
     across object counts at lambda=1, fall to rounding, as under enumeration.
     """
-    stats = [DetectionStats.from_observation(o, num_categories) for o in observations]
-    terms = pinned_terms(np.array([s.counts for s in stats]).reshape(-1, num_categories),
-                         np.array([s.frame_count for s in stats]), v_mu.fa, v_mu.miss)
+    terms = pinned_terms(stats.counts, stats.frame_count, v_mu.fa, v_mu.miss)
     present, log_mass = SceneSums(*terms, prior).map_states()
-    return [(frozenset(np.flatnonzero(p).tolist()), float(np.exp(lm)))
-            for p, lm in zip(present, log_mass)]
+    return [(w, float(np.exp(lm))) for w, lm in zip(category_sets(present), log_mass)]
 
 
-def retrospective_infer(v_mu: MetaEstimate, observations, prior: PriorConfig,
-                        num_categories: int) -> list:
+def retrospective_infer(v_mu: MetaEstimate, stats: DetectionStats,
+                        prior: PriorConfig) -> list:
     """MAP world states under a fixed rate estimate (see map_with_mass)."""
-    return [state for state, _ in
-            retrospective_map_with_mass(v_mu, observations, prior, num_categories)]
+    return [state for state, _ in retrospective_map_with_mass(v_mu, stats, prior)]

@@ -20,6 +20,7 @@ from .core import (
     VisualSystem,
     WorldState,
     _truncated_poisson_weights,
+    presence_masks,
 )
 
 
@@ -41,17 +42,16 @@ def world_state_accuracy(w_true: WorldState, w_hat: WorldState) -> int:
     return int(frozenset(w_true) == frozenset(w_hat))
 
 
-def observation_noise(w_true: WorldState, observation, num_categories: int) -> float:
-    """Mean per-frame per-category disagreement between percepts and truth.
+def observation_noise(world_states, stats: DetectionStats) -> list:
+    """Mean per-frame per-category disagreement between percepts and truth,
+    one value per row of the (T, C) stack, against its world state.
 
-    Accepts an Observation or its DetectionStats; a present category
-    contributes its misses (F - k), an absent one its intrusions (k).
+    A present category contributes its misses (F - k), an absent one its
+    intrusions (k).
     """
-    stats = DetectionStats.from_observation(observation, num_categories)
-    present = np.zeros(num_categories, dtype=bool)
-    present[sorted(w_true)] = True
-    disagreements = np.where(present, stats.frame_count - stats.counts, stats.counts)
-    return float(disagreements.sum() / (stats.frame_count * num_categories))
+    present = presence_masks(world_states, stats.num_categories)
+    disagreements = np.where(present, stats.frame_count[:, None] - stats.counts, stats.counts)
+    return (disagreements.sum(axis=1) / (stats.frame_count * stats.num_categories)).tolist()
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,18 @@ def percept_prob_oracle(percept, world, fa, miss):
     return p
 
 
+def detection_counts_reference(observations, num_categories):
+    """(counts, frame count) of each observation, one percept at a time."""
+    out = []
+    for observation in observations:
+        counts = [0] * num_categories
+        for percept in observation.percepts:
+            for c in percept:
+                counts[c] += 1
+        out.append((counts, len(observation.percepts)))
+    return out
+
+
 def observation_loglik_oracle(percepts, world, fa, miss):
     """Sum of per-percept log probabilities (no sufficient statistics)."""
     total = 0.0

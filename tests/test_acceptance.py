@@ -140,7 +140,7 @@ def _reference_chunk(task) -> str:
                           index)
     stats = result.stats()
     trace = sampling_filter_reference(
-        [(s.counts, s.frame_count) for s in stats], c,
+        list(zip(stats.counts, stats.frame_count.tolist())), c,
         np.random.default_rng(inference_seed(config.seed, index)),
         alpha=prior.beta_alpha, beta=prior.beta_beta, lam=prior.poisson_lambda,
         lo=lo, hi=hi, num_particles=config.num_particles,
@@ -149,7 +149,7 @@ def _reference_chunk(task) -> str:
     v_hat = VisualSystem(*trace["estimates"][-1])
     baselines = result.maps
     result.maps = {MODEL_ONLINE: trace["map_states"],
-                   MODEL_RETRO: retrospective_infer(v_hat, stats, prior, c), **baselines}
+                   MODEL_RETRO: retrospective_infer(v_hat, stats, prior), **baselines}
     result.v_hat = v_hat.as_flat().tolist()
     mse = [trace["initial_mse"]] + trace["mse"]
     result.mse_combined, result.mse_fa, result.mse_miss = (
@@ -450,8 +450,9 @@ class TestCriterion7OracleEquivalence:
                                        ess_resample_threshold=1e-9)
             ens = init_ensemble(cfg, prior, c)
             beliefs, scenes = [], []
-            for obs in observations:
-                assimilate_observation(ens, obs)
+            stats = DetectionStats.from_observations(observations, c)
+            for t in range(len(stats)):
+                assimilate_observation(ens, stats[t])
                 beliefs.append(ens.beliefs.copy())
                 scenes.append([frozenset(np.flatnonzero(mask).tolist())
                                for mask in ens.scenes])
@@ -465,7 +466,7 @@ class TestCriterion7OracleEquivalence:
                     belief_err = max(belief_err, float(np.max(np.abs(step[m] - probs))))
             v_mu = VisualSystem(fa=0.02 + 0.5 * rng.random(c),
                                 miss=0.02 + 0.5 * rng.random(c))
-            got = retrospective_infer(v_mu, observations, prior, c)
+            got = retrospective_infer(v_mu, stats, prior)
             want = [map_state_oracle(list(o.percepts), v_mu.fa, v_mu.miss,
                                      1.0, lo, hi, c) for o in observations]
             map_mismatches += sum(g != w for g, w in zip(got, want))
@@ -481,8 +482,7 @@ class TestCriterion8McmcCorrectness:
     def test_chain_recovers_grid_posterior(self):
         from detcal.core import beta_log_density
         prior = PriorConfig(count_bounds=(1, 1))
-        history = [DetectionStats(counts=np.array([k]), frame_count=f)
-                   for k, f in [(7, 10), (9, 12), (6, 8)]]
+        history = DetectionStats(counts=[[7], [9], [6]], frame_count=[10, 12, 8])
         cfg = ParticleFilterConfig(num_particles=2, seed=0)
         rng = np.random.default_rng(4242)
         particle = Particle(
@@ -496,8 +496,7 @@ class TestCriterion8McmcCorrectness:
             samples[i] = particle.v_hat.miss[0]
         grid = np.linspace(1e-7, 1 - 1e-7, 4001)
         logp = beta_log_density(grid, prior.beta_alpha, prior.beta_beta)
-        for s in history:
-            k, f = int(s.counts[0]), s.frame_count
+        for k, f in zip(history.counts[:, 0].tolist(), history.frame_count.tolist()):
             logp = logp + k * np.log1p(-grid) + (f - k) * np.log(grid)
         w = np.exp(logp - logp.max())
         w /= w.sum()
@@ -539,7 +538,8 @@ class TestCriterion9NormalizationSuite:
             w = frozenset(int(x) for x in np.nonzero(rng.random(c) < 0.5)[0])
             percepts = [frozenset(int(x) for x in np.nonzero(rng.random(c) < 0.5)[0])
                         for _ in range(int(rng.integers(1, 6)))]
-            z = observation_noise(w, Observation(tuple(percepts)), c)
+            [z] = observation_noise(
+                [w], DetectionStats.from_observations([Observation(tuple(percepts))], c))
             zeta_ok = zeta_ok and 0.0 <= z <= 1.0
         v = VisualSystem(fa=rng.random(5), miss=rng.random(5))
         identity = meta_mse(v, v) == (0.0, 0.0, 0.0)

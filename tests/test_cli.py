@@ -51,6 +51,14 @@ class TestSynth:
                      "--count-min", "5", "--count-max", "1"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag", ["--beta-alpha", "--beta-beta", "--poisson-lambda"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_setting_exit_2(self, tmp_path, flag, value):
+        out = tmp_path / "c.jsonl"
+        assert main(["synth", "--out", str(out), "--systems", "1", flag, value]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "exp.conf"
         cfg.write_text("systems=4\nworld_states=3\nseed=9\n# comment\n")
@@ -207,6 +215,71 @@ class TestRun:
         assert f"{corpus} line 2" in caplog.text
         ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
         assert ids == ["run-00001"]
+
+    def test_run_record_with_a_zero_frame_scene_skipped(self, tmp_path, caplog):
+        # a scene with no frames would divide by zero in the stacked counts / frames
+        corpus = tmp_path / "c.jsonl"
+        assert main(["synth", "--out", str(corpus), "--systems", "2",
+                     "--world-states", "4", "--seed", "5"]) == EXIT_OK
+        lines = corpus.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["observations"][1] = []
+        lines[1] = json.dumps(rec)
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(corpus), "--out", str(out), "--particles", "15"]) \
+            == EXIT_INPUT
+        assert f"{corpus} line 2" in caplog.text
+        ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
+        assert ids == ["run-00001"]
+
+    def test_run_record_with_a_nan_rate_skipped(self, tmp_path, caplog):
+        corpus = tmp_path / "c.jsonl"
+        assert main(["synth", "--out", str(corpus), "--systems", "2",
+                     "--world-states", "4", "--seed", "5"]) == EXIT_OK
+        lines = corpus.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["v_true"][3] = float("nan")
+        lines[2] = json.dumps(rec)
+        assert "NaN" in lines[2]
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(corpus), "--out", str(out), "--particles", "15"]) \
+            == EXIT_INPUT
+        assert f"{corpus} line 3" in caplog.text
+        assert "NaN" not in out.read_text()
+        ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
+        assert ids == ["run-00000"]
+
+    def test_corpus_header_with_a_nan_setting_exit_3(self, tmp_path, caplog):
+        corpus = synth(tmp_path)
+        lines = corpus.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["prior"]["poisson_lambda"] = float("nan")
+        corpus.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert main(["run", str(corpus), "--out", str(tmp_path / "r.jsonl"),
+                     *SMALL]) == EXIT_INPUT
+        assert f"{corpus} line 1" in caplog.text
+
+    def test_repeated_category_in_a_percept_counts_once(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        assert main(["synth", "--out", str(corpus), "--systems", "1",
+                     "--world-states", "4", "--seed", "5"]) == EXIT_OK
+        header, line = corpus.read_text().splitlines()
+        outs = []
+        for percept in ([2], [2, 2]):
+            rec = json.loads(line)
+            rec["observations"][0][0] = percept
+            path = tmp_path / f"c{len(percept)}.jsonl"
+            path.write_text(header + "\n" + json.dumps(rec) + "\n")
+            out = tmp_path / f"r{len(percept)}.jsonl"
+            assert main(["run", str(path), "--out", str(out), "--particles", "15"]) \
+                == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        frames = json.loads(line)["observations"][0]
+        want = 1 + sum(2 in p for p in frames[1:])
+        assert json.loads(outs[1])["detect_counts"][0][2] == want
 
     def test_truncated_manifest_exit_3_and_results_untouched(self, tmp_path):
         corpus = synth(tmp_path)

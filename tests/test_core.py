@@ -28,6 +28,7 @@ from detcal.core import (
 )
 from detcal.inference import Particle, ParticleFilterConfig, rejuvenate
 from oracles import (
+    detection_counts_reference,
     enumerate_states_oracle,
     observation_loglik_oracle,
     state_log_prior_oracle,
@@ -302,7 +303,7 @@ class TestObservationLogLikelihood:
             w = frozenset(int(x) for x in np.nonzero(rng.random(c) < 0.5)[0])
             percepts = [frozenset(int(x) for x in np.nonzero(rng.random(c) < 0.5)[0])
                         for _ in range(f)]
-            stats = DetectionStats.from_observation(Observation(tuple(percepts)), c)
+            stats = DetectionStats.from_observations([Observation(tuple(percepts))], c)
             ours = observation_log_likelihood(stats, w, v)
             ref = observation_loglik_oracle(percepts, w, v.fa, v.miss)
             if math.isinf(ref):
@@ -349,7 +350,7 @@ class TestStateSpace:
         space = StateSpace.build(prior, 3)
         v = random_system(rng, 3)
         stats = DetectionStats(counts=np.array([3, 1, 0]), frame_count=4)
-        joint = state_log_joint(stats.counts, stats.frame_count, v.fa, v.miss, space)
+        [joint] = state_log_joint(stats.counts, stats.frame_count, v.fa, v.miss, space)
         for i, w in enumerate(space.states):
             expected = (observation_log_likelihood(stats, w, v)
                         + world_state_log_prior(w, prior, 3))
@@ -378,7 +379,7 @@ class TestDeterminism:
             1.0, 1, 5, b)
         particle = Particle(v_hat=VisualSystem(fa=np.full(5, 0.3), miss=np.full(5, 0.3)),
                             world_beliefs=[], log_weight=0.0)
-        history = [DetectionStats(counts=np.array([4, 0, 1, 0, 2]), frame_count=4)]
+        history = DetectionStats(counts=np.array([4, 0, 1, 0, 2]), frame_count=4)
         moved = [rejuvenate(particle, history, ParticleFilterConfig(), prior, g).v_hat
                  for g in (a, b)]
         assert np.array_equal(moved[0].as_flat(), moved[1].as_flat())
@@ -400,17 +401,46 @@ class TestTypeValidation:
         again = VisualSystem.from_flat(v.as_flat())
         assert np.array_equal(again.fa, v.fa) and np.array_equal(again.miss, v.miss)
 
-    def test_detection_stats_of_stats_are_the_stats_given(self):
+    def test_one_observation_is_a_one_row_stack(self):
         o = Observation((frozenset({0}), frozenset()))
-        stats = DetectionStats.from_observation(o, 2)
-        assert stats.counts.tolist() == [1, 0] and stats.frame_count == 2
-        assert DetectionStats.from_observation(stats, 2) is stats
+        stats = DetectionStats.from_observations([o], 2)
+        assert stats.counts.tolist() == [[1, 0]] and stats.frame_count.tolist() == [2]
+        given = DetectionStats(counts=np.array([1, 0]), frame_count=2)
+        assert given.counts.shape == (1, 2) and given.frame_count.shape == (1,)
+        rows = DetectionStats(counts=[[1, 0], [0, 3]], frame_count=[2, 4])
+        assert len(rows) == 2 and rows[-1].counts.tolist() == [[0, 3]]
+        assert rows[1:].frame_count.tolist() == [4]
 
     def test_detection_stats_bounds(self):
         with pytest.raises(ValueError):
             DetectionStats(counts=np.array([5]), frame_count=4)
         with pytest.raises(ValueError):
             DetectionStats(counts=np.array([-1]), frame_count=4)
+        with pytest.raises(ValueError):  # row 1's count exceeds its own frames
+            DetectionStats(counts=[[4, 0], [0, 3]], frame_count=[4, 2])
+        with pytest.raises(ValueError):  # a zero-frame row
+            DetectionStats(counts=[[0, 0], [0, 0]], frame_count=[1, 0])
+        with pytest.raises(ValueError):  # one frame count per row
+            DetectionStats(counts=[[0, 0], [0, 0]], frame_count=[1, 1, 1])
+        with pytest.raises(ValueError):
+            DetectionStats(counts=np.zeros((2, 0)), frame_count=[1, 1])
+        for bad in (3, -1):  # a category outside 0..C-1 must not land in another row
+            with pytest.raises(ValueError):
+                DetectionStats.from_observations(
+                    [Observation((frozenset({bad}),)), Observation((frozenset(),))], 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 16), st.lists(
+        st.lists(st.frozensets(st.integers(0, 15)), min_size=1, max_size=15),
+        max_size=8))
+    def test_stacked_counts_match_the_per_observation_loop(self, c, scenes):
+        observations = [Observation(tuple(frozenset(x % c for x in p) for p in frames))
+                        for frames in scenes]
+        stats = DetectionStats.from_observations(observations, c)
+        want = detection_counts_reference(observations, c)
+        assert stats.counts.shape == (len(observations), c)
+        assert stats.counts.tolist() == [k for k, _ in want]
+        assert stats.frame_count.tolist() == [f for _, f in want]
 
     def test_prior_config_validation(self):
         with pytest.raises(ValueError):
@@ -419,3 +449,13 @@ class TestTypeValidation:
             PriorConfig(beta_alpha=0.0)
         with pytest.raises(ValueError):
             PriorConfig(frames_bounds=(0, 4))
+        for bad in (math.nan, math.inf):
+            for field in ("beta_alpha", "beta_beta", "poisson_lambda"):
+                with pytest.raises(ValueError):
+                    PriorConfig(**{field: bad})
+
+    def test_visual_system_rejects_nan(self):
+        with pytest.raises(ValueError):
+            VisualSystem(fa=np.array([0.1, math.nan]), miss=np.array([0.1, 0.1]))
+        with pytest.raises(ValueError):
+            VisualSystem.from_flat([0.1, 0.1, math.nan, 0.1])

@@ -55,11 +55,22 @@ def small_config(**kw):
     return ParticleFilterConfig(**base)
 
 
+def stack(observations, c):
+    return DetectionStats.from_observations(observations, c)
+
+
+def assimilate_all(ens, observations):
+    """Assimilate each observation, row by row of their stack."""
+    stats = stack(observations, ens.num_categories)
+    for t in range(len(stats)):
+        assimilate_observation(ens, stats[t])
+
+
 def assimilate_recorded(ens, observations):
     """Assimilate each observation; per step (beliefs, drawn states)."""
     steps = []
     for obs in observations:
-        assimilate_observation(ens, obs)
+        assimilate_all(ens, [obs])
         steps.append((ens.beliefs.copy(), scene_sets(ens)))
     return steps
 
@@ -121,9 +132,10 @@ class TestInitEnsemble:
         for c in (5, 16):
             run = synthesize_run(PRIOR5, c, 10, np.random.default_rng(11))
             a, b = (init_ensemble(ParticleFilterConfig(seed=11), PRIOR5, c) for _ in range(2))
-            for obs in run.observations:
-                assimilate_observation(a, obs)
-                assimilate_observation(b, obs)
+            stats = stack(run.observations, c)
+            for t in range(len(stats)):
+                assimilate_observation(a, stats[t])
+                assimilate_observation(b, stats[t])
                 assert np.array_equal(a.scenes, b.scenes)
             for name in ("a_fa", "b_fa", "a_miss", "b_miss", "log_weights"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -173,7 +185,7 @@ class TestAssimilation:
         for trial in range(25):
             c = int(rng.integers(1, 4))
             prior, observations = random_instance(rng, c, n_obs=3)
-            history = [DetectionStats.from_observation(o, c) for o in observations]
+            history = stack(observations, c)
             particle = rate_particle(0.05 + 0.4 * rng.random(c), 0.05 + 0.4 * rng.random(c))
             moved = rejuvenate(particle, history, small_config(), prior,
                                np.random.default_rng(200 + trial))
@@ -197,7 +209,7 @@ class TestAssimilation:
         observations = [
             Observation(render_percepts(w, truth, int(r.integers(2900, 3100)), r))
             for w in (frozenset({0}), frozenset({1, 2}), frozenset({0, 2}))]
-        history = [DetectionStats.from_observation(o, c) for o in observations]
+        history = stack(observations, c)
         particle = rate_particle(truth.fa, truth.miss)
         rng = np.random.default_rng(4)
         moves = 0
@@ -281,7 +293,7 @@ class TestResampling:
         cfg = small_config(ess_resample_threshold=1.0)  # always resample
         ens = init_ensemble(cfg, prior, 3)
         ens.a_fa[0] += 1.0  # particles at equal counts would keep an ESS of M
-        assimilate_observation(ens, observations[0])
+        assimilate_all(ens, observations)
         assert np.all(ens.log_weights == 0.0)
 
 
@@ -296,8 +308,7 @@ class TestOnlineMap:
             # 1e12 frames' worth of counts at the truth pins the rates there
             ens.a_fa[:], ens.b_fa[:] = 1e12 * v.fa, 1e12 * (1.0 - v.fa)
             ens.a_miss[:], ens.b_miss[:] = 1e12 * v.miss, 1e12 * (1.0 - v.miss)
-            for obs in observations:
-                assimilate_observation(ens, obs)
+            assimilate_all(ens, observations)
             lo, hi = prior.count_bounds
             for t, obs in enumerate(observations):
                 expected = map_state_oracle(list(obs.percepts), v.fa, v.miss,
@@ -341,7 +352,7 @@ class TestRetrospective:
         worlds = [frozenset({0}), frozenset({1, 4}), frozenset({2, 3})]
         observations = [
             Observation(tuple(frozenset(w) for _ in range(3))) for w in worlds]
-        got = retrospective_infer(v, observations, PRIOR5, 5)
+        got = retrospective_infer(v, stack(observations, 5), PRIOR5)
         assert got == worlds
 
     def test_equals_exhaustive_scoring(self, rng):
@@ -351,7 +362,7 @@ class TestRetrospective:
             v = VisualSystem(fa=0.02 + 0.6 * rng.random(c),
                              miss=0.02 + 0.6 * rng.random(c))
             lo, hi = prior.count_bounds
-            got = retrospective_infer(v, observations, prior, c)
+            got = retrospective_infer(v, stack(observations, c), prior)
             expected = [map_state_oracle(list(o.percepts), v.fa, v.miss,
                                          prior.poisson_lambda, lo, hi, c)
                         for o in observations]
@@ -386,8 +397,7 @@ class TestRetrospective:
                     lj = state_log_joint(k, f, fa, miss, space)
                     got = retrospective_map_with_mass(
                         VisualSystem(fa=fa, miss=miss),
-                        [DetectionStats(counts=row, frame_count=int(x)) for row, x in zip(k, f)],
-                        prior, c)
+                        DetectionStats(counts=k, frame_count=f), prior)
                     for (state, mass), row in zip(got, lj):
                         cases += 1
                         best = row.max()
@@ -411,23 +421,24 @@ class TestRetrospective:
         monkeypatch.setattr(StateSpace, "build", refuse)
         prior = PriorConfig()
         run = synthesize_run(prior, 20, 30, np.random.default_rng(20))
-        got = retrospective_map_with_mass(run.v_true, run.observations, prior, 20)
+        stats = stack(run.observations, 20)
+        got = retrospective_map_with_mass(run.v_true, stats, prior)
         assert all(1 <= len(w) <= 5 and 0.0 < mass <= 1.0 for w, mass in got)
         assert sum(w == truth for (w, _), truth in zip(got, run.world_states)) >= 20
-        assert len(fixed_prior_infer(run.observations, prior, 20)) == 30
+        assert len(fixed_prior_infer(stats, prior)) == 30
 
     def test_tie_break_is_bit_order(self):
         # an uninformative system ties all likelihoods; the prior then puts
         # the singletons first and bit order picks the highest category
         v = VisualSystem(fa=np.full(5, 0.5), miss=np.full(5, 0.5))
         obs = Observation((frozenset({0, 1}),))
-        got = retrospective_infer(v, [obs], PRIOR5, 5)
+        got = retrospective_infer(v, stack([obs], 5), PRIOR5)
         assert got == [frozenset({4})]
 
     def test_map_mass_is_a_probability(self, rng):
         prior, observations = random_instance(rng, 3, n_obs=2)
         v = VisualSystem(fa=np.full(3, 0.1), miss=np.full(3, 0.1))
-        for state, mass in retrospective_map_with_mass(v, observations, prior, 3):
+        for state, mass in retrospective_map_with_mass(v, stack(observations, 3), prior):
             assert 0.0 < mass <= 1.0
 
 
@@ -435,8 +446,8 @@ class TestRunFilterDeterminism:
     def test_trace_is_a_pure_function_of_seed(self, rng):
         prior, observations = random_instance(rng, 3, n_obs=5)
         cfg = ParticleFilterConfig(num_particles=30, seed=7)
-        a = run_filter(observations, cfg, prior, 3)
-        b = run_filter(observations, cfg, prior, 3)
+        a = run_filter(stack(observations, 3), cfg, prior, 3)
+        b = run_filter(stack(observations, 3), cfg, prior, 3)
         assert a.map_states == b.map_states
         assert len(a.estimates) == len(b.estimates) == 5
         for ea, eb in zip(a.estimates, b.estimates):
@@ -445,7 +456,7 @@ class TestRunFilterDeterminism:
     def test_trace_shape(self, rng):
         prior, observations = random_instance(rng, 3, n_obs=4)
         cfg = ParticleFilterConfig(num_particles=20, seed=1)
-        trace = run_filter(observations, cfg, prior, 3)
+        trace = run_filter(stack(observations, 3), cfg, prior, 3)
         assert len(trace.estimates) == 4 and len(trace.map_states) == 4
         assert trace.final_estimate is trace.estimates[-1]
 
@@ -458,7 +469,7 @@ class TestLearning:
         initial, first, last = [], [], []
         for i in range(12):
             run = synthesize_run(prior, 5, 30, np.random.default_rng(1000 + i))
-            trace = run_filter(run.observations, cfg, prior, 5,
+            trace = run_filter(stack(run.observations, 5), cfg, prior, 5,
                                rng=np.random.default_rng(2000 + i))
             initial.append(meta_mse(run.v_true, trace.initial_estimate)[0])
             first.append(meta_mse(run.v_true, trace.estimates[0])[0])
@@ -477,19 +488,19 @@ class TestParticleLearning:
         prior = PriorConfig(count_bounds=(1, 3))
         c, m = 3, 6
         run = synthesize_run(prior, c, 1200, np.random.default_rng(5))
-        stats = [DetectionStats.from_observation(o, c) for o in run.observations]
+        stats = stack(run.observations, c)
         ens = init_ensemble(small_config(num_particles=m, seed=5), prior, c)
         drawn = []
-        for s in stats:
-            assimilate_observation(ens, s)
+        for t in range(len(stats)):
+            assimilate_observation(ens, stats[t])
             drawn.append(ens.scenes.copy())
         lo, hi = prior.count_bounds
         states = enumerate_states_oracle(c, lo, hi)
         presence = np.array([[j in w for j in range(c)] for w in states], dtype=float)
         log_prior = np.array([state_log_prior_oracle(w, prior.poisson_lambda, lo, hi, c)
                               for w in states])
-        k = np.array([s.counts for s in stats], dtype=float)[:, None, :]   # (T, 1, C)
-        rest = np.array([s.frame_count for s in stats], dtype=float)[:, None, None] - k
+        k = stats.counts.astype(float)[:, None, :]                          # (T, 1, C)
+        rest = stats.frame_count.astype(float)[:, None, None] - k
         present = np.array(drawn, dtype=float)                               # (T, M, C)
         absent = 1.0 - present
         a, b = prior.beta_alpha, prior.beta_beta
@@ -562,23 +573,22 @@ class TestParticleLearning:
         prior = PriorConfig(count_bounds=(0, 1))
         truth = VisualSystem(fa=np.array([0.3]), miss=np.array([0.3]))
         r = np.random.default_rng(0)
-        stats = []
+        observations = []
         for _ in range(300):
             world = sample_world_state(prior, 1, r)
             frames = int(r.integers(prior.frames_bounds[0], prior.frames_bounds[1] + 1))
-            obs = Observation(render_percepts(world, truth, frames, r))
-            stats.append(DetectionStats.from_observation(obs, 1))
+            observations.append(Observation(render_percepts(world, truth, frames, r)))
+        stats = stack(observations, 1)
         ens = init_ensemble(ParticleFilterConfig(num_particles=1000, seed=0), prior, 1)
-        for s in stats:
-            assimilate_observation(ens, s)
+        assimilate_all(ens, observations)
 
         grid = (np.arange(400) + 0.5) / 400
         pmf = truncated_poisson_pmf_oracle(prior.poisson_lambda, 0, 1)
         fa, miss = grid[:, None], grid[None, :]
         logp = (beta_log_density(fa, prior.beta_alpha, prior.beta_beta)
                 + beta_log_density(miss, prior.beta_alpha, prior.beta_beta))
-        for s in stats:
-            k, rest = float(s.counts[0]), float(s.frame_count - s.counts[0])
+        for k, f in zip(stats.counts[:, 0].tolist(), stats.frame_count.tolist()):
+            rest = f - k
             logp = logp + np.logaddexp(
                 math.log(pmf[0]) + k * np.log(fa) + rest * np.log1p(-fa),
                 math.log(pmf[1]) + k * np.log1p(-miss) + rest * np.log(miss))
@@ -605,8 +615,7 @@ class TestParticleLearning:
         prior = PriorConfig(count_bounds=(1, 3))
         run = synthesize_run(prior, 3, 37, np.random.default_rng(3))  # T=37: no M, S or C
         ens = init_ensemble(ParticleFilterConfig(num_particles=10, seed=3), prior, 3)
-        for obs in run.observations:
-            assimilate_observation(ens, obs)
+        assimilate_all(ens, run.observations)
         assert ens.num_observations == 37
         for name, value in vars(ens).items():
             if isinstance(value, np.ndarray):
@@ -726,8 +735,9 @@ class TestFilterAboveTheEnumerationLimit:
             assert ens.space is None
             a, b = self.PRIOR.beta_alpha, self.PRIOR.beta_beta
             recount = [np.full((20, c), x) for x in (a, b, a, b)]
-            for obs in run.observations:
-                s = DetectionStats.from_observation(obs, c)
+            stats = stack(run.observations, c)
+            for t in range(len(stats)):
+                s = stats[t]
                 ll = state_log_predictive(s.counts, s.frame_count, ens.a_fa, ens.b_fa,
                                           ens.a_miss, ens.b_miss, space)
                 before = ens.log_weights.copy()
@@ -753,8 +763,9 @@ class TestFilterAboveTheEnumerationLimit:
         for i in range(10):
             run = synthesize_run(self.PRIOR, c, 60, np.random.default_rng(1700 + i))
             ens = init_ensemble(ParticleFilterConfig(seed=i), self.PRIOR, c)
-            for t, obs in enumerate(run.observations):
-                s = DetectionStats.from_observation(obs, c)
+            stats = stack(run.observations, c)
+            for t in range(len(stats)):
+                s = stats[t]
                 ll = state_log_predictive(s.counts, s.frame_count, ens.a_fa, ens.b_fa,
                                           ens.a_miss, ens.b_miss, space)
                 evidence = logsumexp(ll, axis=1)
@@ -771,8 +782,8 @@ class TestFilterAboveTheEnumerationLimit:
         prior = PriorConfig()
         cfg = ParticleFilterConfig(seed=4)
         run = synthesize_run(prior, 16, 20, np.random.default_rng(16))
-        a = run_filter(run.observations, cfg, prior, 16)
-        b = run_filter(run.observations, cfg, prior, 16)
+        a = run_filter(stack(run.observations, 16), cfg, prior, 16)
+        b = run_filter(stack(run.observations, 16), cfg, prior, 16)
         assert a.map_states == b.map_states
         assert len(a.estimates) == len(b.estimates) == 20
         for ea, eb in zip(a.estimates, b.estimates):

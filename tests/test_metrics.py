@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detcal.core import Observation, VisualSystem
+from detcal.core import DetectionStats, Observation, VisualSystem
 from detcal.metrics import (
     chance_accuracy,
     meta_mse,
@@ -13,6 +13,8 @@ from detcal.metrics import (
     world_state_accuracy,
 )
 from oracles import truncated_poisson_pmf_oracle
+
+stats_of = DetectionStats.from_observations
 
 
 class TestMetaMse:
@@ -57,17 +59,17 @@ class TestObservationNoise:
     def test_noiseless_is_zero(self):
         w = frozenset({0, 2})
         o = Observation((frozenset(w), frozenset(w)))
-        assert observation_noise(w, o, 5) == 0.0
+        assert observation_noise([w], stats_of([o], 5)) == [0.0]
 
     def test_single_disagreement(self):
         w = frozenset({0})
         o = Observation((frozenset({0, 1}),))  # one extra category of five
-        assert observation_noise(w, o, 5) == pytest.approx(0.2)
+        assert observation_noise([w], stats_of([o], 5)) == pytest.approx([0.2])
 
     def test_complement_is_maximal(self):
         w = frozenset({0, 1})
         o = Observation((frozenset({2, 3, 4}), frozenset({2, 3, 4})))
-        assert observation_noise(w, o, 5) == pytest.approx(1.0)
+        assert observation_noise([w], stats_of([o], 5)) == pytest.approx([1.0])
 
     def test_order_invariance_and_bounds(self, rng):
         for _ in range(100):
@@ -75,8 +77,9 @@ class TestObservationNoise:
             w = frozenset(int(x) for x in np.nonzero(rng.random(c) < 0.5)[0])
             percepts = [frozenset(int(x) for x in np.nonzero(rng.random(c) < 0.5)[0])
                         for _ in range(int(rng.integers(1, 5)))]
-            z = observation_noise(w, Observation(tuple(percepts)), c)
-            z_rev = observation_noise(w, Observation(tuple(reversed(percepts))), c)
+            [z] = observation_noise([w], stats_of([Observation(tuple(percepts))], c))
+            [z_rev] = observation_noise(
+                [w], stats_of([Observation(tuple(reversed(percepts)))], c))
             assert z == pytest.approx(z_rev)
             assert 0.0 <= z <= 1.0
 

@@ -21,8 +21,7 @@ from detcal.inference import Particle, ParticleFilterConfig, _reflect_into_unit,
 
 def one_category_problem():
     prior = PriorConfig(count_bounds=(1, 1))  # the lone category is always present
-    history = [DetectionStats(counts=np.array([k]), frame_count=f)
-               for k, f in [(7, 10), (9, 12), (6, 8)]]
+    history = DetectionStats(counts=[[7], [9], [6]], frame_count=[10, 12, 8])
     return prior, history
 
 
@@ -47,8 +46,7 @@ def grid_density(history, prior, informed=True, points=4001):
     grid = np.linspace(1e-7, 1.0 - 1e-7, points)
     logp = beta_log_density(grid, prior.beta_alpha, prior.beta_beta)
     if informed:
-        for s in history:
-            k, f = int(s.counts[0]), s.frame_count
+        for k, f in zip(history.counts[:, 0].tolist(), history.frame_count.tolist()):
             logp = logp + k * np.log1p(-grid) + (f - k) * np.log(grid)
     w = np.exp(logp - logp.max())
     return grid, w / w.sum()
@@ -104,7 +102,7 @@ class TestMoveIngredients:
 
     def test_rejuvenation_moves_rates_and_refreshes_beliefs(self):
         prior = PriorConfig(count_bounds=(1, 2))
-        history = [DetectionStats(counts=np.array([3, 0]), frame_count=3)]
+        history = DetectionStats(counts=np.array([3, 0]), frame_count=3)
         cfg = ParticleFilterConfig(num_particles=2, seed=0)
         rng = np.random.default_rng(7)
         particle = Particle(v_hat=VisualSystem(fa=np.array([0.3, 0.3]),
