@@ -26,7 +26,7 @@ from .inference import (
     run_filter,
 )
 from .baselines import ThresholdPolicy, fit_threshold, fixed_prior_infer, threshold_infer
-from .dataset import Corpus, Run, ingest_percepts, read_corpus, synthesize_corpus, synthesize_run
+from .dataset import Corpus, Run, read_corpus, synthesize_corpus, synthesize_run
 from .metrics import (
     chance_accuracy,
     meta_mse,
@@ -45,8 +45,7 @@ __all__ = [
     "assimilate_observation", "estimate_v", "init_ensemble",
     "online_map_world_state", "rejuvenate", "retrospective_infer", "run_filter",
     "ThresholdPolicy", "fit_threshold", "fixed_prior_infer", "threshold_infer",
-    "Corpus", "Run", "ingest_percepts", "read_corpus", "synthesize_corpus",
-    "synthesize_run",
+    "Corpus", "Run", "read_corpus", "synthesize_corpus", "synthesize_run",
     "chance_accuracy", "meta_mse", "observation_noise",
     "rolling_accuracy_by_noise", "world_state_accuracy",
     "ExperimentConfig",

@@ -28,10 +28,6 @@ WorldState = frozenset
 Percept = frozenset
 
 
-def _as_world_state(indices) -> WorldState:
-    return frozenset(int(c) for c in indices)
-
-
 @dataclass(frozen=True)
 class Observation:
     """A bundle of percepts produced from different views of one scene."""
@@ -230,17 +226,6 @@ def _truncated_poisson_cdf(lam: float, lo: int, hi: int) -> np.ndarray:
     return cdf
 
 
-def truncated_poisson_pmf(n: int, lam: float, lo: int, hi: int) -> float:
-    """Poisson(lam) pmf renormalized to the inclusive support [lo, hi]."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if lo > hi:
-        raise ValueError("lo must not exceed hi")
-    if n < lo or n > hi:
-        return 0.0
-    return float(_truncated_poisson_weights(lam, lo, hi)[n - lo])
-
-
 def truncated_poisson_sample(lam: float, lo: int, hi: int, rng: np.random.Generator, size=None):
     """Draw from the truncated Poisson by inverse CDF on the finite support."""
     if lam <= 0:
@@ -281,7 +266,7 @@ def sample_world_state(prior: PriorConfig, num_categories: int,
             f"count upper bound {hi} exceeds the {num_categories} available categories")
     n = int(truncated_poisson_sample(prior.poisson_lambda, lo, hi, rng))
     cats = rng.choice(num_categories, size=n, replace=False)
-    return _as_world_state(cats)
+    return frozenset(cats.tolist())
 
 
 def count_log_prior(prior: PriorConfig, num_categories: int) -> np.ndarray:
@@ -309,39 +294,6 @@ def _log_state_weight(lam: float, n: int, c: int) -> float:
     return n * math.log(lam) - math.log(math.perm(c, n))
 
 
-def world_state_log_prior(world: WorldState, prior: PriorConfig,
-                          num_categories: int) -> float:
-    """log P(world) = log d(|world|) - log C(num_categories, |world|).
-
-    States with a size outside count_bounds have probability zero and get
-    -inf rather than an error, so degenerate inputs stay testable.
-    """
-    n = len(world)
-    lo, hi = prior.count_bounds
-    if n < lo or n > hi or any(c < 0 or c >= num_categories for c in world):
-        return -math.inf
-    return float(count_log_prior(prior, num_categories)[n - lo])
-
-
-def enumerate_world_states(num_categories: int, lo: int, hi: int):
-    """All subsets with size in [lo, hi], ordered by their presence bit-vector.
-
-    The ordering (lexicographic on the tuple of presence bits, category 0
-    first) is the package-wide tie-break order for MAP extraction.
-    """
-    hi = min(hi, num_categories)
-    states = []
-    for n in range(lo, hi + 1):
-        states.extend(combinations(range(num_categories), n))
-
-    def bit_key(cats):
-        present = set(cats)
-        return tuple(1 if c in present else 0 for c in range(num_categories))
-
-    states.sort(key=bit_key)
-    return tuple(_as_world_state(s) for s in states)
-
-
 @dataclass(frozen=True, eq=False)
 class StateSpace:
     """Enumerated world-state support with its prior, in tie-break order."""
@@ -357,19 +309,24 @@ class StateSpace:
     def build(cls, prior: PriorConfig, num_categories: int) -> "StateSpace":
         """The support for (prior, num_categories), built once per process.
 
-        Every caller gets the same object, so its arrays are read-only.
+        Every subset of lo..min(hi, C) categories, ordered by its presence
+        bits with category 0 first: the package-wide tie-break order for
+        MAP extraction. A state of n objects has prior ``count_log_prior``'s
+        entry for n. Every caller gets the same object, so its arrays are
+        read-only.
         """
         lo, hi = prior.count_bounds
-        states = enumerate_world_states(num_categories, lo, hi)
-        presence = np.zeros((len(states), num_categories), dtype=np.float64)
-        for i, w in enumerate(states):
-            presence[i, sorted(w)] = 1.0
+        subsets = [s for n in range(lo, min(hi, num_categories) + 1)
+                   for s in combinations(range(num_categories), n)]
+        present = presence_masks(subsets, num_categories)
+        # packbits puts category 0 in the top bit, so its bytes sort as the bits do
+        present = present[np.lexsort(np.packbits(present, axis=1).T[::-1])]
+        presence = present.astype(np.float64)
         absence = 1.0 - presence
-        log_prior = np.array(
-            [world_state_log_prior(w, prior, num_categories) for w in states])
+        log_prior = count_log_prior(prior, num_categories)[present.sum(axis=1) - lo]
         for arr in (presence, absence, log_prior):
             arr.flags.writeable = False
-        return cls(num_categories=num_categories, states=states,
+        return cls(num_categories=num_categories, states=tuple(category_sets(present)),
                    presence=presence, absence=absence, log_prior=log_prior)
 
     @property
@@ -482,20 +439,3 @@ def render_percepts(world: WorldState, system: VisualSystem, frames: int,
     p_detect = system.fa.copy()
     p_detect[present] = 1.0 - system.miss[present]
     return tuple(category_sets(rng.random((frames, system.num_categories)) < p_detect))
-
-
-def observation_log_likelihood(stats: DetectionStats, world: WorldState,
-                               system: VisualSystem) -> float:
-    """log P(observation | world, system) from a one-observation stack.
-
-    Equals the log of the product over all F percepts of the per-percept
-    probability: present categories are detected with probability
-    1 - miss, absent ones with fa (``pinned_terms``); impossible count
-    patterns under degenerate rates give -inf.
-    """
-    if stats.num_categories != system.num_categories:
-        raise ValueError("stats and system disagree on the number of categories")
-    present = np.zeros(system.num_categories, dtype=bool)
-    present[sorted(world)] = True
-    terms = pinned_terms(stats.counts, stats.frame_count, system.fa, system.miss)
-    return float(np.where(present, *terms).sum())

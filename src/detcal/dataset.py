@@ -83,9 +83,9 @@ class Run:
     def from_record(cls, rec: dict, num_categories: int) -> "Run":
         """The run of a corpus record whose header says ``num_categories``.
 
-        Raises ValueError when the record's rates are not 2C long, it holds
-        no observations, or a world state or percept names anything but an
-        integer category index in [0, C).
+        Raises ValueError when its run_id is not a string, its rates are not
+        2C long, it holds no observations, or a world state or percept names
+        anything but an integer category index in [0, C).
         """
         def categories(indices) -> frozenset:
             for c in indices:
@@ -96,6 +96,8 @@ class Run:
                                      f"in 0..{num_categories - 1}")
             return frozenset(indices)
 
+        if not isinstance(rec["run_id"], str):
+            raise ValueError(f"run_id must be a string, got {rec['run_id']!r}")
         run = cls(
             run_id=rec["run_id"],
             v_true=VisualSystem.from_flat(rec["v_true"]),
@@ -320,18 +322,13 @@ def write_percepts(path, observations, vocabulary,
                 fh.write(_dump(rec) + "\n")
 
 
-def ingest_percepts(path, vocabulary) -> list:
-    """Parse an external percept log into observations.
+def ingest_percept_groups(path, vocabulary) -> list:
+    """Parse an external percept log into (observation_id, Observation) pairs.
 
     Frames are grouped by observation_id (groups ordered by first
     appearance, frames by frame_index). Unknown labels, malformed records
     and duplicate frame indices raise PerceptFormatError naming the line.
     """
-    return [obs for _, obs in ingest_percept_groups(path, vocabulary)]
-
-
-def ingest_percept_groups(path, vocabulary) -> list:
-    """Like ingest_percepts, but keeps the (observation_id, Observation) pairs."""
     path = Path(path)
     index_of = {name: i for i, name in enumerate(vocabulary)}
     groups: dict = {}

@@ -227,10 +227,18 @@ class RunResult:
 
     @classmethod
     def from_record(cls, rec: dict) -> "RunResult":
-        """The result a record holds; ValueError if it holds no observations."""
+        """The result a record holds.
+
+        ValueError unless its run_id is a string, it holds T >= 1
+        observations, its counts are a valid (T, C) stack, and its zeta and
+        every model's scenes hold T entries and each rate-error series T + 1
+        (entry 0 is the prior estimate's).
+        """
+        if not isinstance(rec["run_id"], str):
+            raise ValueError(f"run_id must be a string, got {rec['run_id']!r}")
         if not rec["world_states"]:
             raise ValueError("the result holds no observations")
-        return cls(
+        result = cls(
             run_id=rec["run_id"],
             num_categories=rec["num_categories"],
             world_states=[frozenset(w) for w in rec["world_states"]],
@@ -245,6 +253,18 @@ class RunResult:
             mse_miss=rec.get("mse_miss"),
             mse_combined=rec.get("mse_combined"),
         )
+        t, stats = result.num_observations, result.stats()
+        if stats.counts.shape != (t, result.num_categories):
+            raise ValueError(f"detect_counts must be {t} rows of {result.num_categories}")
+        series = [("zeta", result.zeta, t)]
+        series += [(f"maps[{m!r}]", scenes, t) for m, scenes in result.maps.items()]
+        series += [(name, getattr(result, name), t + 1)
+                   for name in ("mse_fa", "mse_miss", "mse_combined")
+                   if getattr(result, name) is not None]
+        for name, values, length in series:
+            if len(values) != length:
+                raise ValueError(f"{name} holds {len(values)} entries, not {length}")
+        return result
 
 
 def evaluate_run(run: Run, config: ExperimentConfig, run_index: int) -> RunResult:

@@ -193,10 +193,6 @@ class ParticleEnsemble:
         """Normalized particle weights."""
         return _softmax_rows(self.log_weights[None, :])[0]
 
-    @property
-    def effective_sample_size(self) -> float:
-        return _effective_sample_size(self.weights)
-
     def particle(self, m: int) -> Particle:
         """Materialize particle m (copies; edits do not write back)."""
         fa, miss = self.rates()
@@ -470,7 +466,7 @@ def _learning_step(ens: ParticleEnsemble, counts: np.ndarray, frames) -> None:
         candidates = np.unique(sums.map_states()[0], axis=0)
         mixture = np.exp(sums.log_posterior(candidates)) @ weights
         best = candidates[int(np.argmax(mixture))]
-        ens._maps.append(frozenset(np.flatnonzero(best).tolist()))
+        ens._maps.append(category_sets(best[None])[0])
         idx = _resample_if_degenerate(ens, weights)
         if idx is not None:
             sums.reorder(idx)

@@ -514,24 +514,21 @@ class TestCriterion8McmcCorrectness:
 class TestCriterion9NormalizationSuite:
     def test_normalizations(self, rng):
         from itertools import chain, combinations
-        from detcal.core import (enumerate_world_states,
-                                 observation_log_likelihood,
-                                 world_state_log_prior)
+        from detcal.core import StateSpace, pinned_terms
         worst_percept = 0.0
         for c in (1, 2, 3, 4):
             v = VisualSystem(fa=rng.random(c), miss=rng.random(c))
-            w = frozenset(int(x) for x in np.nonzero(rng.random(c) < 0.5)[0])
+            mask = rng.random(c) < 0.5
             total = 0.0
             for sub in chain.from_iterable(
                     combinations(range(c), n) for n in range(c + 1)):
                 counts = np.zeros(c, dtype=int)
                 counts[list(sub)] = 1
                 stats = DetectionStats(counts=counts, frame_count=1)
-                total += math.exp(observation_log_likelihood(stats, w, v))
+                terms = pinned_terms(stats.counts, stats.frame_count, v.fa, v.miss)
+                total += math.exp(np.where(mask, *terms).sum())
             worst_percept = max(worst_percept, abs(total - 1.0))
-        prior = PriorConfig()
-        prior_total = sum(math.exp(world_state_log_prior(w, prior, 5))
-                          for w in enumerate_world_states(5, 1, 5))
+        prior_total = sum(math.exp(x) for x in StateSpace.build(PriorConfig(), 5).log_prior)
         zeta_ok = True
         for _ in range(200):
             c = int(rng.integers(1, 6))

@@ -216,6 +216,23 @@ class TestRun:
         ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
         assert ids == ["run-00001"]
 
+    def test_run_record_with_a_non_string_run_id_skipped(self, tmp_path, caplog):
+        # report sorts runs by run_id, which an integer among strings would break
+        corpus = tmp_path / "c.jsonl"
+        assert main(["synth", "--out", str(corpus), "--systems", "2",
+                     "--world-states", "4", "--seed", "5"]) == EXIT_OK
+        lines = corpus.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["run_id"] = 5
+        lines[1] = json.dumps(rec)
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(corpus), "--out", str(out), "--particles", "15"]) \
+            == EXIT_INPUT
+        assert f"{corpus} line 2" in caplog.text
+        ids = [json.loads(l)["run_id"] for l in out.read_text().splitlines()]
+        assert ids == ["run-00001"]
+
     def test_run_record_with_a_zero_frame_scene_skipped(self, tmp_path, caplog):
         # a scene with no frames would divide by zero in the stacked counts / frames
         corpus = tmp_path / "c.jsonl"
@@ -380,6 +397,31 @@ class TestReport:
         edited = tmp_path / "edited.jsonl"
         edited.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert main(["report", str(edited), "--out", str(tmp_path / "rep5")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("case", ["count_above_its_frames", "ragged_counts_row",
+                                      "short_online_scenes", "short_zeta", "short_mse_fa",
+                                      "integer_run_id"])
+    def test_malformed_result_record_exit_3(self, pipeline, caplog, case):
+        tmp_path, results = pipeline
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        second = records[1]
+        if case == "count_above_its_frames":
+            second["detect_counts"][0][0] = 99
+        elif case == "ragged_counts_row":
+            second["detect_counts"][0] = second["detect_counts"][0][:2]
+        elif case == "short_online_scenes":
+            second["maps"]["online"].pop()
+        elif case == "short_zeta":
+            second["zeta"].pop()
+        elif case == "short_mse_fa":
+            second["mse_fa"].pop()
+        else:
+            second["run_id"] = 5
+        edited = tmp_path / f"{case}.jsonl"
+        edited.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", str(edited), "--out", str(tmp_path / f"rep-{case}")]) \
+            == EXIT_INPUT
+        assert f"{edited} line 2: bad result record" in caplog.text
 
     def test_unknown_model_exit_2(self, pipeline, caplog):
         tmp_path, results = pipeline

@@ -14,16 +14,13 @@ from detcal.core import (
     VisualSystem,
     beta_sample,
     count_log_prior,
-    enumerate_world_states,
     logsumexp,
-    observation_log_likelihood,
+    pinned_terms,
     render_percepts,
     sample_visual_system,
     sample_world_state,
     state_log_joint,
-    truncated_poisson_pmf,
     truncated_poisson_sample,
-    world_state_log_prior,
     xlogy,
 )
 from detcal.inference import Particle, ParticleFilterConfig, rejuvenate
@@ -38,6 +35,21 @@ from oracles import (
 
 def random_system(rng, c):
     return VisualSystem(fa=rng.random(c), miss=rng.random(c))
+
+
+def count_pmf(lam, lo, hi, c):
+    """P(n objects) for n = lo..min(hi, c): the state prior summed by count."""
+    space = StateSpace.build(PriorConfig(poisson_lambda=lam, count_bounds=(lo, hi)), c)
+    sizes = space.presence.sum(axis=1).astype(int)
+    return {n: float(np.exp(space.log_prior[sizes == n]).sum())
+            for n in range(lo, min(hi, c) + 1)}
+
+
+def log_likelihood(stats, world, system):
+    """log P(observation | world, system): the world's ``pinned_terms`` summed."""
+    present = np.isin(np.arange(system.num_categories), sorted(world))
+    return float(np.where(present, *pinned_terms(stats.counts, stats.frame_count,
+                                                   system.fa, system.miss)).sum())
 
 
 class TestBetaSample:
@@ -64,18 +76,17 @@ class TestBetaSample:
 class TestTruncatedPoisson:
     def test_pmf_matches_oracle(self):
         oracle = truncated_poisson_pmf_oracle(1.0, 1, 5)
+        pmf = count_pmf(1.0, 1, 5, 5)
         for n in range(1, 6):
-            assert truncated_poisson_pmf(n, 1.0, 1, 5) == pytest.approx(
-                oracle[n], abs=1e-14)
-        assert truncated_poisson_pmf(1, 1.0, 1, 5) == pytest.approx(0.5825, abs=5e-5)
+            assert pmf[n] == pytest.approx(oracle[n], abs=1e-14)
+        assert pmf[1] == pytest.approx(0.5825, abs=5e-5)
 
     def test_pmf_normalizes(self):
-        assert sum(truncated_poisson_pmf(n, 1.0, 1, 5)
-                   for n in range(1, 6)) == pytest.approx(1.0, abs=1e-12)
+        assert sum(count_pmf(1.0, 1, 5, 5).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_outside_support_is_zero(self):
-        assert truncated_poisson_pmf(0, 1.0, 1, 5) == 0.0
-        assert truncated_poisson_pmf(6, 1.0, 1, 5) == 0.0
+        # six categories, so states of 0 and 6 objects could be enumerated
+        assert {len(w) for w in StateSpace.build(PriorConfig(), 6).states} == {1, 2, 3, 4, 5}
 
     def test_sample_frequency(self, rng):
         draws = truncated_poisson_sample(1.0, 1, 5, rng, size=1_000_000)
@@ -88,7 +99,7 @@ class TestTruncatedPoisson:
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            truncated_poisson_pmf(1, -1.0, 1, 5)
+            truncated_poisson_sample(-1.0, 1, 5, rng)
         with pytest.raises(ValueError):
             truncated_poisson_sample(1.0, 5, 1, rng)
 
@@ -120,12 +131,11 @@ class TestTruncatedPoisson:
             for lam, lo, hi in ((0.0, 1, 5), (-1.0, 1, 5), (1.0, 5, 1)):
                 with pytest.raises(ValueError):
                     truncated_poisson_sample(lam, lo, hi, rng)
-                with pytest.raises(ValueError):
-                    truncated_poisson_pmf(lo, lam, lo, hi)
             truncated_poisson_sample(1.0, 1, 5, rng)
 
     def test_pmf_keeps_its_values(self, rng):
-        # bit for bit, with each triple's CDF already cached by a draw
+        # the sampler's CDF sums these pmf values, bit for bit, once a draw
+        # has cached it
         pinned = {
             (1.0, 1, 5): [0.5825242718446602, 0.2912621359223302, 0.09708737864077666,
                           0.02427184466019419, 0.004854368932038832],
@@ -138,8 +148,7 @@ class TestTruncatedPoisson:
         }
         for (lam, lo, hi), values in pinned.items():
             truncated_poisson_sample(lam, lo, hi, rng)
-            assert [truncated_poisson_pmf(n, lam, lo, hi)
-                    for n in range(lo, hi + 1)] == values
+            assert core._truncated_poisson_cdf(lam, lo, hi).tolist() == np.cumsum(values).tolist()
 
 
 class TestLogsumexp:
@@ -195,14 +204,14 @@ class TestWorldStatePrior:
             sample_world_state(PriorConfig(), 3, rng)
 
     def test_log_prior_normalizes(self):
-        prior = PriorConfig()
-        states = enumerate_world_states(5, 1, 5)
-        assert len(states) == 31
-        total = sum(math.exp(world_state_log_prior(w, prior, 5)) for w in states)
+        space = StateSpace.build(PriorConfig(), 5)
+        assert space.size == 31
+        total = sum(math.exp(x) for x in space.log_prior)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_log_prior_single_object(self):
-        value = math.exp(world_state_log_prior(frozenset({2}), PriorConfig(), 5))
+        space = StateSpace.build(PriorConfig(), 5)
+        value = math.exp(space.log_prior[space.states.index(frozenset({2}))])
         assert value == pytest.approx(
             math.exp(state_log_prior_oracle(frozenset({2}), 1.0, 1, 5, 5)), rel=1e-12)
         assert value == pytest.approx(0.1165, abs=5e-5)
@@ -219,11 +228,25 @@ class TestWorldStatePrior:
             assert logsumexp(log_prior + log_states) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_state_outside_support(self):
-        assert world_state_log_prior(frozenset(), PriorConfig(), 5) == -math.inf
+        assert frozenset() not in StateSpace.build(PriorConfig(), 5).states
 
     def test_enumeration_is_bit_ordered(self):
-        states = enumerate_world_states(3, 1, 3)
-        assert states == tuple(enumerate_states_oracle(3, 1, 3))
+        # states, masks and prior against the oracles, over count bounds that
+        # start at 0, reach C, pass it, or pin one count
+        for c in range(1, 9):
+            for lo, hi in ((0, c), (1, min(5, c)), (min(2, c), c), (c, c), (0, c + 2)):
+                for lam in (1.0, 2.5, float(c)):
+                    prior = PriorConfig(poisson_lambda=lam, count_bounds=(lo, hi))
+                    space = StateSpace.build(prior, c)
+                    want = enumerate_states_oracle(c, lo, hi)
+                    assert space.states == tuple(want)
+                    assert space.presence.tolist() == [[float(j in w) for j in range(c)]
+                                                       for w in want]
+                    np.testing.assert_array_equal(space.absence, 1.0 - space.presence)
+                    np.testing.assert_allclose(
+                        space.log_prior,
+                        [state_log_prior_oracle(w, lam, lo, hi, c) for w in want],
+                        rtol=1e-12, atol=1e-12)
 
 
 class TestVisualSystemSampling:
@@ -281,19 +304,19 @@ class TestObservationLogLikelihood:
     def test_single_category_product(self):
         stats = DetectionStats(counts=np.array([2]), frame_count=3)
         v = VisualSystem(fa=np.array([0.0]), miss=np.array([0.2]))
-        got = observation_log_likelihood(stats, frozenset({0}), v)
+        got = log_likelihood(stats, frozenset({0}), v)
         assert got == pytest.approx(math.log(0.8 * 0.8 * 0.2), rel=1e-12)
 
     def test_noiseless_consistent_is_certain(self):
         v = VisualSystem(fa=np.zeros(3), miss=np.zeros(3))
         w = frozenset({0, 2})
         stats = DetectionStats(counts=np.array([4, 0, 4]), frame_count=4)
-        assert observation_log_likelihood(stats, w, v) == 0.0
+        assert log_likelihood(stats, w, v) == 0.0
 
     def test_contradiction_is_log_zero(self):
         v = VisualSystem(fa=np.zeros(2), miss=np.zeros(2))
         stats = DetectionStats(counts=np.array([1, 0]), frame_count=2)
-        assert observation_log_likelihood(stats, frozenset({1}), v) == -math.inf
+        assert log_likelihood(stats, frozenset({1}), v) == -math.inf
 
     def test_matches_per_percept_oracle(self, rng):
         for trial in range(200):
@@ -304,7 +327,7 @@ class TestObservationLogLikelihood:
             percepts = [frozenset(int(x) for x in np.nonzero(rng.random(c) < 0.5)[0])
                         for _ in range(f)]
             stats = DetectionStats.from_observations([Observation(tuple(percepts))], c)
-            ours = observation_log_likelihood(stats, w, v)
+            ours = log_likelihood(stats, w, v)
             ref = observation_loglik_oracle(percepts, w, v.fa, v.miss)
             if math.isinf(ref):
                 assert math.isinf(ours)
@@ -322,7 +345,7 @@ class TestObservationLogLikelihood:
                 counts = np.zeros(c, dtype=int)
                 counts[list(sub)] = 1
                 stats = DetectionStats(counts=counts, frame_count=1)
-                total += math.exp(observation_log_likelihood(stats, w, v))
+                total += math.exp(log_likelihood(stats, w, v))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     @settings(max_examples=50, deadline=None)
@@ -339,8 +362,8 @@ class TestObservationLogLikelihood:
         v2 = VisualSystem(fa=v.fa[perm], miss=v.miss[perm])
         w2 = frozenset(int(np.nonzero(perm == c0)[0][0]) for c0 in w)
         stats2 = DetectionStats(counts=counts[perm], frame_count=3)
-        a = observation_log_likelihood(stats, w, v)
-        b = observation_log_likelihood(stats2, w2, v2)
+        a = log_likelihood(stats, w, v)
+        b = log_likelihood(stats2, w2, v2)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -349,11 +372,13 @@ class TestStateSpace:
         prior = PriorConfig(count_bounds=(1, 3))
         space = StateSpace.build(prior, 3)
         v = random_system(rng, 3)
-        stats = DetectionStats(counts=np.array([3, 1, 0]), frame_count=4)
+        percepts = [frozenset({0, 1}), frozenset({0}), frozenset({0}), frozenset()]
+        stats = DetectionStats.from_observations([Observation(tuple(percepts))], 3)
+        assert stats.counts.tolist() == [[3, 1, 0]]
         [joint] = state_log_joint(stats.counts, stats.frame_count, v.fa, v.miss, space)
         for i, w in enumerate(space.states):
-            expected = (observation_log_likelihood(stats, w, v)
-                        + world_state_log_prior(w, prior, 3))
+            expected = (observation_loglik_oracle(percepts, w, v.fa, v.miss)
+                        + state_log_prior_oracle(w, 1.0, 1, 3, 3))
             assert joint[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_built_once_per_prior_and_category_count(self):

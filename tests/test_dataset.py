@@ -10,7 +10,6 @@ from detcal.dataset import (
     Run,
     default_vocabulary,
     ingest_percept_groups,
-    ingest_percepts,
     read_corpus,
     run_seed,
     synthesize_corpus,
@@ -155,16 +154,15 @@ class TestPerceptFiles:
         path.write_text(
             '{"observation_id":"a","frame_index":0,"labels":["cat00"]}\n'
             '{"observation_id":"a","frame_index":1,"labels":["cat00","cat02"]}\n')
-        observations = ingest_percepts(path, default_vocabulary(3))
-        assert len(observations) == 1
-        assert observations[0].frame_count == 2
-        assert observations[0].percepts == (frozenset({0}), frozenset({0, 2}))
+        [(obs_id, observation)] = ingest_percept_groups(path, default_vocabulary(3))
+        assert obs_id == "a" and observation.frame_count == 2
+        assert observation.percepts == (frozenset({0}), frozenset({0, 2}))
 
     def test_unknown_label_is_named(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text('{"observation_id":"a","frame_index":0,"labels":["truck"]}\n')
         with pytest.raises(PerceptFormatError, match="'truck'"):
-            ingest_percepts(path, default_vocabulary(3))
+            ingest_percept_groups(path, default_vocabulary(3))
 
     def test_malformed_line_is_numbered(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -172,24 +170,24 @@ class TestPerceptFiles:
             '{"observation_id":"a","frame_index":0,"labels":[]}\n'
             'not json at all\n')
         with pytest.raises(PerceptFormatError, match="line 2"):
-            ingest_percepts(path, default_vocabulary(3))
+            ingest_percept_groups(path, default_vocabulary(3))
 
     def test_missing_field_and_duplicate_frame(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text('{"observation_id":"a","labels":[]}\n')
         with pytest.raises(PerceptFormatError, match="line 1"):
-            ingest_percepts(path, default_vocabulary(2))
+            ingest_percept_groups(path, default_vocabulary(2))
         path.write_text(
             '{"observation_id":"a","frame_index":0,"labels":[]}\n'
             '{"observation_id":"a","frame_index":0,"labels":[]}\n')
         with pytest.raises(PerceptFormatError, match="duplicate"):
-            ingest_percepts(path, default_vocabulary(2))
+            ingest_percept_groups(path, default_vocabulary(2))
 
     def test_empty_file_is_rejected(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text("\n")
         with pytest.raises(PerceptFormatError, match="no percept records"):
-            ingest_percepts(path, default_vocabulary(2))
+            ingest_percept_groups(path, default_vocabulary(2))
 
     def test_round_trip_through_percept_format(self, tmp_path):
         run = synthesize_run(PRIOR, 5, 6, np.random.default_rng(2))
@@ -205,5 +203,5 @@ class TestPerceptFiles:
         path.write_text(
             '{"observation_id":"a","frame_index":1,"labels":["cat01"]}\n'
             '{"observation_id":"a","frame_index":0,"labels":["cat00"]}\n')
-        observations = ingest_percepts(path, default_vocabulary(2))
-        assert observations[0].percepts == (frozenset({0}), frozenset({1}))
+        [(_, observation)] = ingest_percept_groups(path, default_vocabulary(2))
+        assert observation.percepts == (frozenset({0}), frozenset({1}))

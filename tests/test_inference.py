@@ -124,7 +124,7 @@ class TestInitEnsemble:
             est = estimate_v(ens)
             assert np.allclose(est.fa, 1.0 / 6.0) and np.allclose(est.miss, 1.0 / 6.0)
             assert np.all(ens.log_weights == 0.0)
-            assert ens.effective_sample_size == pytest.approx(100.0)
+            assert np.all(ens.weights == 1.0 / 100)
 
     def test_seed_determinism_is_bitwise(self):
         # nothing is drawn at start; each step draws the states, enumerated
