@@ -623,6 +623,9 @@ def report_command(results_paths, out_dir, models=None,
         results.extend(read_results(path))
     if not results:
         raise InputError("no run results found in the given files")
+    category_counts = sorted({r.num_categories for r in results})
+    if len(category_counts) > 1:
+        raise InputError(f"results mix runs of {category_counts} categories")
     # aggregation must not depend on input order (float sums, holdout split)
     results.sort(key=lambda r: r.run_id)
     if prior is None:
@@ -687,9 +690,8 @@ def report_command(results_paths, out_dir, models=None,
         theta = ThresholdPolicy().theta if m == MODEL_THRESHOLD else ""
         rows.append([m, float(np.mean(pooled[m])), theta, total_obs])
 
-    runs = [r.stats() for r in results]
-    stats = DetectionStats(counts=np.concatenate([s.counts for s in runs]),
-                           frame_count=np.concatenate([s.frame_count for s in runs]))
+    stats = DetectionStats(counts=[k for r in results for k in r.detect_counts],
+                           frame_count=[f for r in results for f in r.frame_counts])
     truth = [w for r in results for w in r.world_states]
     theta, acc = fit_threshold(stats, truth)
     rows.append([FITTED_ROW, acc, theta, total_obs])

@@ -398,6 +398,18 @@ class TestReport:
         edited.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert main(["report", str(edited), "--out", str(tmp_path / "rep5")]) == EXIT_INPUT
 
+    def test_results_of_different_category_counts_exit_3(self, pipeline, caplog):
+        # the fitted threshold pools every run's (T, C) counts into one stack
+        tmp_path, results = pipeline
+        rec = json.loads(results.read_text().splitlines()[0])
+        rec["run_id"], rec["num_categories"] = "narrow", 4
+        rec["detect_counts"] = [row[:4] for row in rec["detect_counts"]]
+        narrow = tmp_path / "narrow.jsonl"
+        narrow.write_text(json.dumps(rec) + "\n")
+        assert main(["report", str(results), str(narrow),
+                     "--out", str(tmp_path / "rep-mixed")]) == EXIT_INPUT
+        assert "results mix runs of [4, 5] categories" in caplog.text
+
     @pytest.mark.parametrize("case", ["count_above_its_frames", "ragged_counts_row",
                                       "short_online_scenes", "short_zeta", "short_mse_fa",
                                       "integer_run_id"])
